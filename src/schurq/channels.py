@@ -36,17 +36,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    CIRCLE_SNAP,
-    DEFAULT_TOL,
-    ConsistencyError,
-    Tolerance,
-    hermitize,
-    maxnorm,
-)
+from .linalg import DEFAULT_TOL, ConsistencyError, Tolerance, hermitize, maxnorm
 from .params import (
     SchurParams,
-    _disc_allowance,
+    _Bounds,
+    _entry_step,
+    _logdet,
     cholesky_factor,
     defect,
     inverse,
@@ -164,7 +159,8 @@ class QubitNFReport:
     entries masked by a vanishing divisor; ``margins`` are the eight slack
     values (S11, S22, S33, S44, 1-|G23|, 1-|G13|, 1-|G24|, 1-|G14|), each
     nonnegative exactly when its inequality holds, masked bounds counting as
-    slack 1; ``notes`` lists degenerate-case consistency failures.
+    slack 1; ``notes`` lists every violated bound or residual, so ``cp``
+    holds exactly when it is empty.
     """
 
     s_diag: np.ndarray
@@ -265,9 +261,10 @@ def kraus_from_choi(c: ChoiMatrix, tol: Tolerance = DEFAULT_TOL) -> KrausSet:
     Row n of U = G diag(L), reshaped row-major to d_in x d_out, is a
     generator A_n with Phi(rho) = sum A_n* rho A_n; the returned set stores
     K_n = A_n* per the module convention.  All-zero rows are dropped.  The
-    reconstruction is verified two ways before returning -- S = A* A and the
-    action on every matrix unit -- so a KrausSet is trustworthy by
-    construction.  Propagates NotPSDError when the Choi matrix is not PSD.
+    factorization S = A* A is verified before returning; since the map is an
+    exact reindexing of S, this also fixes the action on every matrix unit,
+    so a KrausSet is trustworthy by construction.  Propagates NotPSDError
+    when the Choi matrix is not PSD.
     """
     s = hermitize(c.s, tol)
     params = inverse(s, tol)
@@ -288,16 +285,6 @@ def kraus_from_choi(c: ChoiMatrix, tol: Tolerance = DEFAULT_TOL) -> KrausSet:
     if resid > check_tol:
         raise ConsistencyError(
             f"Kraus factor does not reproduce the Choi matrix: residual {resid:.3e}")
-    m = map_from_choi(c)
-    for l in range(c.d_in):
-        for mm in range(c.d_in):
-            e = np.zeros((c.d_in, c.d_in), dtype=np.complex128)
-            e[l, mm] = 1.0
-            via_kraus = sum((k @ e @ k.conj().T for k in gens),
-                            np.zeros((c.d_out, c.d_out), dtype=np.complex128))
-            if maxnorm(via_kraus - apply(m, e)) > check_tol:
-                raise ConsistencyError(
-                    f"Kraus action disagrees with the map on unit ({l}, {mm})")
     return ks
 
 
@@ -331,20 +318,13 @@ def capacity_D(c: ChoiMatrix, tol: Tolerance = DEFAULT_TOL) -> float:
 
     Equals -(1/N)(sum_k log S_kk + sum log(1 - |Gamma_kj|^2)) over defined
     parameters; +infinity when the Choi matrix is singular, judged at
-    rounding resolution (``CIRCLE_SNAP``) so that rank-deficient Choi
+    rounding resolution (``CIRCLE_SNAP``) by the same rule as
+    :func:`~schurq.params.det_from_params`, so that rank-deficient Choi
     matrices assembled in floating point are still flagged.  Requires a
     completely positive input (NotPSDError propagates otherwise).
     """
     s = hermitize(c.s, tol)
-    params = inverse(s, tol)
-    n = s.shape[0]
-    diag_terms = params.diag.astype(float) ** 2
-    disc_terms = 1.0 - np.abs(params.gamma[params.defined]) ** 2
-    # Diagonal factors carry the scale of the input and may be genuinely
-    # tiny; only the dimensionless disc factors get the rounding snap.
-    if np.any(diag_terms <= 0.0) or np.any(disc_terms <= CIRCLE_SNAP):
-        return math.inf
-    return float(-np.sum(np.log(np.concatenate([diag_terms, disc_terms]))) / n)
+    return -_logdet(inverse(s, tol)) / s.shape[0]
 
 
 def choi_tensor(c1: ChoiMatrix, c2: ChoiMatrix) -> ChoiMatrix:
@@ -460,68 +440,54 @@ def qubit_nf_params(nf: QubitChannelNF,
     s23 = l1 - l2
     s14 = l1 + l2
 
-    scale = max(maxnorm(sdiag), abs(s13), abs(s23), abs(s14))
-    entry_tol = tol.entry(scale)
-    div_eps = tol.abs_eps * (1.0 + scale)
-    notes: list[str] = []
+    bounds = _Bounds(tol, max(maxnorm(sdiag), abs(s13), abs(s23), abs(s14)))
+    notes: list[str] = []  # one per violated inequality or residual
 
-    diag_ok = True
     for k in range(4):
-        if sdiag[k] < -entry_tol:
-            diag_ok = False
+        if sdiag[k] < -bounds.entry_tol:
             notes.append(f"S{k + 1}{k + 1} = {sdiag[k]:.6g} is negative")
     lvec = np.sqrt(np.clip(sdiag, 0.0, None))
 
     gmat = np.zeros((4, 4), dtype=np.complex128)
     defined = np.zeros((4, 4), dtype=bool)
     gamma: dict[tuple[int, int], complex | None] = {}
-    moduli: dict[tuple[int, int], float] = {}
-    disc_ok = True
 
-    def place(k: int, j: int, entry: complex, known: complex, divisor: float):
+    def place(k: int, j: int, entry: complex, known: complex, dprod: float):
         """One recursion step: extract, clamp, or mask gamma_(k+1)(j+1)."""
-        nonlocal disc_ok
         label = (k + 1, j + 1)
-        if divisor <= div_eps:
-            gamma[label] = None
-            resid = abs(entry - lvec[k] * lvec[j] * known)
-            if resid > entry_tol + divisor:
-                disc_ok = False
-                notes.append(
-                    f"degenerate entry S{label[0]}{label[1]} inconsistent "
-                    f"(residual {resid:.6g})")
-            return
-        val = complex(entry / (lvec[k] * lvec[j]) - known) / (divisor / (lvec[k] * lvec[j]))
-        mod = abs(val)
+        val, failure = _entry_step(entry, known, lvec[k], lvec[j], dprod, bounds)
         gamma[label] = val
-        moduli[label] = mod
-        if mod > 1.0:
-            if mod - 1.0 > _disc_allowance(tol, scale, divisor):
-                disc_ok = False
-                notes.append(f"|Gamma{label[0]}{label[1]}| = {mod:.6g} exceeds 1")
-            val /= mod
-        gmat[k, j] = val
+        if failure is not None:
+            notes.append(
+                f"|Gamma{label[0]}{label[1]}| = {failure[1]:.6g} exceeds 1"
+                if val is not None else
+                f"degenerate entry S{label[0]}{label[1]} inconsistent "
+                f"(residual {failure[1]:.6g})")
+        if val is None:
+            return
+        mod = abs(val)
+        gmat[k, j] = val / mod if mod > 1.0 else val
         defined[k, j] = True
 
     # Band 1.  S12 = S34 = 0, so those parameters are zero whenever defined.
-    place(0, 1, 0.0, 0.0, lvec[0] * lvec[1])
-    place(1, 2, s23, 0.0, lvec[1] * lvec[2])
-    place(2, 3, 0.0, 0.0, lvec[2] * lvec[3])
+    place(0, 1, 0.0, 0.0, 1.0)
+    place(1, 2, s23, 0.0, 1.0)
+    place(2, 3, 0.0, 0.0, 1.0)
     d23 = float(defect(gmat[1, 2]))
     # Band 2.  The known terms vanish because Gamma12 = Gamma34 = 0.
-    place(0, 2, s13, 0.0, lvec[0] * lvec[2] * d23)
-    place(1, 3, s24, 0.0, lvec[1] * lvec[3] * d23)
+    place(0, 2, s13, 0.0, d23)
+    place(1, 3, s24, 0.0, d23)
     d13 = float(defect(gmat[0, 2]))
     d24 = float(defect(gmat[1, 3]))
     # Band 3.  Surviving known term: -G13 conj(G23) G24.
     known14 = -gmat[0, 2] * np.conj(gmat[1, 2]) * gmat[1, 3]
-    place(0, 3, s14, known14, lvec[0] * lvec[3] * d13 * d24)
+    place(0, 3, s14, known14, d13 * d24)
 
     params = SchurParams(4, lvec, gmat, defined)
     params.validate(tol)
 
     def slack(label: tuple[int, int]) -> float:
-        return 1.0 - moduli[label] if gamma[label] is not None else 1.0
+        return 1.0 - abs(gamma[label]) if gamma[label] is not None else 1.0
 
     margins = (float(sdiag[0]), float(sdiag[1]), float(sdiag[2]), float(sdiag[3]),
                slack((2, 3)), slack((1, 3)), slack((2, 4)), slack((1, 4)))
@@ -529,7 +495,7 @@ def qubit_nf_params(nf: QubitChannelNF,
         s_diag=sdiag,
         gamma=gamma,
         margins=margins,
-        cp=diag_ok and disc_ok,
+        cp=not notes,
         notes=tuple(notes),
     )
     return params, report

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, NotPSDError, Tolerance, hermitize, maxnorm
-from .params import SchurParams, _disc_allowance, defect, forward
+from .linalg import DEFAULT_TOL, NotPSDError, Tolerance, maxnorm
+from .params import SchurParams, _disc_allowance, _preamble, defect, forward
 
 __all__ = ["GeneratorState", "displacement_inverse"]
 
@@ -105,25 +105,14 @@ def displacement_inverse(
     shifted time 0 (assembled, they give the conjugate transpose of the unit
     factor of :func:`schurq.params.cholesky_factor` for nonsingular input).
     """
-    s = hermitize(s, tol)
+    s, lvec, bounds = _preamble(s, tol)
     d = s.shape[0]
-    if d == 0:
-        raise ValueError("empty matrix")
-    scale = maxnorm(s)
-    entry_tol = tol.entry(scale)
-    div_eps = tol.abs_eps * (1.0 + scale)
-
-    dvec = s.diagonal().real.copy()
-    neg = int(np.argmin(dvec))
-    if dvec[neg] < -entry_tol:
-        raise NotPSDError("negative diagonal", entry=(neg, neg),
-                          value=float(dvec[neg]))
-    lvec = np.sqrt(np.clip(dvec, 0.0, None))
+    scale, entry_tol = bounds.scale, bounds.entry_tol
 
     # Unit-diagonal scaling with the 0/0 -> 0 convention; entries over a
     # (numerically) vanished diagonal must themselves vanish for a PSD matrix.
     ll = np.outer(lvec, lvec)
-    dead = ll <= div_eps
+    dead = bounds.degenerate(ll)
     s1 = np.where(dead, 0.0, s / np.where(dead, 1.0, ll))
     bad = dead & ~np.eye(d, dtype=bool) & (np.abs(s) > entry_tol + ll)
     if np.any(bad):
@@ -205,7 +194,7 @@ def displacement_inverse(
             j = k + b
             dprod = float(np.prod(defect(final[k, k + 1:j]))
                           * np.prod(defect(final[k + 1:j, j])))
-            if lvec[k] * lvec[j] * dprod > div_eps:
+            if not bounds.degenerate(lvec[k] * lvec[j] * dprod):
                 final[k, j] = gamma[k, j]
                 defined[k, j] = True
 

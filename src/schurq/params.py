@@ -23,15 +23,17 @@ value because its coefficient is the vanished divisor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, NotPSDError, Tolerance, hermitize, maxnorm
+from .linalg import CIRCLE_SNAP, DEFAULT_TOL, NotPSDError, Tolerance, hermitize, \
+    maxnorm
 
 __all__ = [
     "SchurParams",
-    "DefectCache",
     "forward",
     "cholesky_factor",
     "inverse",
@@ -44,23 +46,6 @@ def defect(g: np.ndarray | complex) -> np.ndarray | float:
     """sqrt(1 - |g|^2), clipped at 0 for |g| rounded just above 1."""
     mod2 = np.abs(g) ** 2
     return np.sqrt(np.clip(1.0 - mod2, 0.0, None))
-
-
-@dataclass(frozen=True)
-class DefectCache:
-    """Per-entry defects of a gamma array.
-
-    For scalar parameters the left and right defect operators coincide;
-    both names are kept so call sites read like the two-sided formulas.
-    """
-
-    left: np.ndarray
-    right: np.ndarray
-
-    @classmethod
-    def of(cls, gamma: np.ndarray) -> "DefectCache":
-        d = defect(gamma)
-        return cls(left=d, right=d)
 
 
 @dataclass
@@ -103,9 +88,6 @@ class SchurParams:
             raise ValueError("parameters must lie in the closed unit disc")
         if np.any((~self.defined) & strict_upper & (self.gamma != 0)):
             raise ValueError("masked parameters must carry the convention value 0")
-
-    def defects(self) -> DefectCache:
-        return DefectCache.of(self.gamma)
 
     def copy(self) -> "SchurParams":
         return SchurParams(self.dim, self.diag.copy(), self.gamma.copy(),
@@ -202,6 +184,40 @@ def forward(params: SchurParams, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return l[:, None] * su * l[None, :]
 
 
+class _Bounds(NamedTuple):
+    """Thresholds of one extraction, fixed by the input's max-norm."""
+
+    tol: Tolerance
+    scale: float
+
+    @property
+    def entry_tol(self) -> float:
+        """Slack of a single matrix entry."""
+        return self.tol.entry(self.scale)
+
+    def degenerate(self, divisor: float | np.ndarray) -> bool | np.ndarray:
+        """The divisor rule: the entry carries no information on its parameter."""
+        return divisor <= self.tol.abs_eps * (1.0 + self.scale)
+
+
+def _preamble(s: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, _Bounds]:
+    """Hermitian average, diagonal factors ``L`` and thresholds of ``s``.
+
+    Raises ``ValueError`` for empty or non-Hermitian input and
+    :class:`NotPSDError` for a negative diagonal.
+    """
+    s = hermitize(s, tol)
+    if s.shape[0] == 0:
+        raise ValueError("empty matrix")
+    bounds = _Bounds(tol, maxnorm(s))
+    dvec = s.diagonal().real
+    neg = int(np.argmin(dvec))
+    if dvec[neg] < -bounds.entry_tol:
+        raise NotPSDError("negative diagonal", entry=(neg, neg),
+                          value=float(dvec[neg]))
+    return s, np.sqrt(np.clip(dvec, 0.0, None)), bounds
+
+
 def _disc_allowance(tol: Tolerance, scale: float, divisor: float) -> float:
     """How far |gamma| may exceed 1 before the matrix is rejected.
 
@@ -212,6 +228,29 @@ def _disc_allowance(tol: Tolerance, scale: float, divisor: float) -> float:
     return max(tol.rel_eps, min(0.1, tol.rel_eps * (1.0 + scale) / divisor))
 
 
+def _entry_step(entry: complex, known: complex, lk: float, lj: float, dprod: float,
+                bounds: _Bounds) -> tuple[complex | None, tuple[str, float] | None]:
+    """Extract gamma from ``entry = L_k L_j (known + dprod * gamma)``.
+
+    Returns ``(gamma, failure)``: ``gamma`` is None when the divisor is
+    degenerate (masked), else the value before clamping onto the circle;
+    ``failure`` is None or the ``(reason, value)`` of the NotPSDError the
+    entry proves.
+    """
+    ll = lk * lj
+    divisor = ll * dprod
+    if bounds.degenerate(divisor):
+        resid = abs(entry - ll * known)
+        if resid > bounds.entry_tol + divisor:
+            return None, ("inconsistent degenerate entry", float(resid))
+        return None, None
+    val = complex((entry / ll - known) / dprod)
+    mod = abs(val)
+    if mod > 1.0 and mod - 1.0 > _disc_allowance(bounds.tol, bounds.scale, divisor):
+        return val, ("parameter outside the unit disc", mod)
+    return val, None
+
+
 def inverse(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SchurParams:
     """Extract parameters of a Hermitian PSD matrix, band by band.
 
@@ -219,21 +258,8 @@ def inverse(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SchurParams:
     unit disc, or inconsistent degenerate entry) when ``s`` is not PSD, and
     ``ValueError`` when it is not Hermitian.
     """
-    s = hermitize(s, tol)
+    s, lvec, bounds = _preamble(s, tol)
     d = s.shape[0]
-    if d == 0:
-        raise ValueError("empty matrix")
-    scale = maxnorm(s)
-    entry_tol = tol.entry(scale)
-    div_eps = tol.abs_eps * (1.0 + scale)
-
-    dvec = s.diagonal().real.copy()
-    neg = int(np.argmin(dvec))
-    if dvec[neg] < -entry_tol:
-        raise NotPSDError("negative diagonal", entry=(neg, neg),
-                          value=float(dvec[neg]))
-    lvec = np.sqrt(np.clip(dvec, 0.0, None))
-
     gamma = np.zeros((d, d), dtype=np.complex128)
     defined = np.zeros((d, d), dtype=bool)
     table = _WindowTable(gamma)
@@ -250,21 +276,15 @@ def inverse(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SchurParams:
                          @ _col_contraction(gamma, k + 1, j))
                 dprod = float(np.prod(defect(gamma[k, k + 1:j]))
                               * np.prod(defect(gamma[k + 1:j, j])))
-            divisor = lvec[k] * lvec[j] * dprod
-            if divisor <= div_eps:
-                resid = abs(s[k, j] - lvec[k] * lvec[j] * known)
-                if resid > entry_tol + divisor:
-                    raise NotPSDError("inconsistent degenerate entry",
-                                      entry=(k, j), band=b, value=float(resid))
+            val, failure = _entry_step(s[k, j], known, lvec[k], lvec[j], dprod,
+                                       bounds)
+            if failure is not None:
+                raise NotPSDError(failure[0], entry=(k, j), band=b,
+                                  value=failure[1])
+            if val is None:
                 continue  # gamma stays 0, defined stays False
-            val = (s[k, j] / (lvec[k] * lvec[j]) - known) / dprod
             mod = abs(val)
-            if mod > 1.0:
-                if mod - 1.0 > _disc_allowance(tol, scale, divisor):
-                    raise NotPSDError("parameter outside the unit disc",
-                                      entry=(k, j), band=b, value=float(mod))
-                val /= mod
-            gamma[k, j] = val
+            gamma[k, j] = val / mod if mod > 1.0 else val
             defined[k, j] = True
 
     params = SchurParams(d, lvec, gamma, defined)
@@ -272,13 +292,28 @@ def inverse(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SchurParams:
     return params
 
 
+def _logdet(params: SchurParams) -> float:
+    """log det S = sum log L_k^2 + sum log(1 - |gamma|^2) over defined gamma.
+
+    -inf when some ``L_k`` vanishes or some disc factor is at or below
+    ``CIRCLE_SNAP``.  Diagonal factors carry the input's scale and may be
+    genuinely tiny; only the dimensionless disc factors get the snap.
+    """
+    diag_terms = params.diag ** 2
+    disc_terms = 1.0 - np.abs(params.gamma[params.defined]) ** 2
+    if np.any(diag_terms <= 0.0) or np.any(disc_terms <= CIRCLE_SNAP):
+        return -math.inf
+    return float(np.sum(np.log(np.concatenate([diag_terms, disc_terms]))))
+
+
 def det_from_params(params: SchurParams) -> float:
     """det S as the product of diagonal squares and parameter defects.
 
+    Evaluated as ``exp`` of the parameter log-det, so it is never negative,
+    and exactly 0.0 for a singular matrix: a vanishing diagonal factor or a
+    parameter on the unit circle at rounding resolution (``CIRCLE_SNAP``).
     Masked entries contribute a factor 1 (their convention value is 0)."""
-    upper = np.triu(np.ones((params.dim, params.dim), dtype=bool), 1)
-    fac = 1.0 - np.abs(params.gamma[upper]) ** 2
-    return float(np.prod(params.diag ** 2) * np.prod(fac))
+    return float(np.exp(_logdet(params)))
 
 
 def is_psd_via_params(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:

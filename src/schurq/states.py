@@ -42,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    CIRCLE_SNAP,
     DEFAULT_TOL,
     ConsistencyError,
     NotPSDError,
@@ -53,8 +52,8 @@ from .linalg import (
     maxnorm,
     reference_eigenvalues,
 )
-from .params import SchurParams, cholesky_factor, defect, forward, inverse, \
-    is_psd_via_params
+from .params import SchurParams, _logdet, cholesky_factor, defect, forward, \
+    inverse, is_psd_via_params
 
 __all__ = [
     "HermBasis",
@@ -364,21 +363,17 @@ def pure_vector(state: DensityState, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
 def entropy_E(state: DensityState) -> float:
     """(1/d) log det rho in nats, computed from the parameters.
 
-    Equal to (1/d) (sum_k log rho_kk + sum_{defined} log(1 - |g_kj|^2)).
+    Equal to (1/d) (sum_k log rho_kk + sum_{defined} log(1 - |g_kj|^2)),
+    evaluated as the log-det of the parameters of ``d * rho`` minus log d.
     Returns -infinity as soon as some diagonal entry vanishes or some
     parameter sits on the unit circle (every pure state does both).
-    Circle contact is judged at rounding resolution (``CIRCLE_SNAP``), so a
-    rank-one matrix assembled in floating point is flagged -infinity even
-    when its stored determinant is a nonzero rounding residue.  Always
-    <= -log d, with equality only at the maximally mixed state.
+    Circle contact is judged at rounding resolution (``CIRCLE_SNAP``) by the
+    same rule as :func:`~schurq.params.det_from_params`, so a rank-one
+    matrix assembled in floating point is flagged -infinity even when its
+    stored determinant is a nonzero rounding residue.  Always <= -log d,
+    with equality only at the maximally mixed state.
     """
-    r = state.rho.diagonal().real
-    if np.any(r <= 0.0):
-        return -math.inf
-    fac = 1.0 - np.abs(state.params.gamma[state.params.defined]) ** 2
-    if np.any(fac <= CIRCLE_SNAP):
-        return -math.inf
-    return float((np.sum(np.log(r)) + np.sum(np.log(fac))) / state.dim)
+    return _logdet(state.params) / state.dim - math.log(state.dim)
 
 
 def entropy_E0(state: DensityState, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -529,9 +524,15 @@ def _disc_candidates(target: complex, coeff: float, grid: np.ndarray,
     return out
 
 
-def is_separable_params(state: DensityState, tol: Tolerance = DEFAULT_TOL,
-                        angles: int = 64, radii: int = 32,
-                        max_refine: int = 1) -> SeparabilityVerdict:
+# First-level polar grid of the parameter separability search, and how many
+# times it is refined (doubling both counts) on failure.
+_GRID_ANGLES = 64
+_GRID_RADII = 32
+_GRID_REFINE = 1
+
+
+def is_separable_params(state: DensityState,
+                        tol: Tolerance = DEFAULT_TOL) -> SeparabilityVerdict:
     """Two-qubit separability via the auxiliary-contraction system.
 
     First the closed-form necessary inequality on the state's own
@@ -545,7 +546,7 @@ def is_separable_params(state: DensityState, tol: Tolerance = DEFAULT_TOL,
 
     Feasible points, when they exist, cluster at the values forced by
     the band equations, which always enter the candidate list alongside
-    the polar grid (refined ``max_refine`` times on failure).  Cells are
+    the polar grid (refined ``_GRID_REFINE`` times on failure).  Cells are
     evaluated independently, so the verdict is a pure "any cell
     feasible".  The verdict is cross-checked against
     :func:`is_separable_ppt`; disagreement raises
@@ -615,9 +616,9 @@ def is_separable_params(state: DensityState, tol: Tolerance = DEFAULT_TOL,
         level = 0
     else:
         point = None
-        for level in range(max_refine + 1):
-            point = search(_grid_points(angles * 2 ** level,
-                                        radii * 2 ** level))
+        for level in range(_GRID_REFINE + 1):
+            point = search(_grid_points(_GRID_ANGLES * 2 ** level,
+                                        _GRID_RADII * 2 ** level))
             if point is not None:
                 break
         if point is not None:

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from schurq.channels import ChoiMatrix, capacity_D
 from schurq.linalg import NotPSDError, maxnorm, reference_determinant, reference_eigenvalues
 from schurq.params import (
     SchurParams,
@@ -10,6 +13,7 @@ from schurq.params import (
     inverse,
     is_psd_via_params,
 )
+from schurq.states import entropy_E, state_from_matrix
 
 
 def _defect(g):
@@ -223,6 +227,23 @@ def test_det_matches_reference():
         s = x.conj().T @ x
         np.testing.assert_allclose(det_from_params(inverse(s)),
                                    reference_determinant(s), rtol=1e-9)
+    # Rank-deficient input: the determinant is never negative (not even -0.0)
+    # and it is exactly 0.0 whenever the log-det readers report a singular
+    # matrix from the same parameters.
+    for _ in range(200):
+        d = int(rng.integers(2, 10))
+        r = int(rng.integers(1, d))
+        x = rng.normal(size=(r, d)) + 1j * rng.normal(size=(r, d))
+        s = x.conj().T @ x
+        det = det_from_params(inverse(s))
+        assert math.copysign(1.0, det) == 1.0
+        if capacity_D(ChoiMatrix(1, d, s)) == math.inf:
+            assert det == 0.0
+        st = state_from_matrix(s / np.trace(s).real)
+        det = det_from_params(st.params)
+        assert math.copysign(1.0, det) == 1.0
+        if entropy_E(st) == -math.inf:
+            assert det == 0.0
 
 
 def test_is_psd_via_params():
