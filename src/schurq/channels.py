@@ -266,8 +266,16 @@ def kraus_from_choi(c: ChoiMatrix, tol: Tolerance = DEFAULT_TOL) -> KrausSet:
     so a KrausSet is trustworthy by construction.  Propagates NotPSDError
     when the Choi matrix is not PSD.
     """
+    return _kraus_from_params(c, *_choi_params(c, tol), tol)
+
+
+def _choi_params(c: ChoiMatrix, tol: Tolerance = DEFAULT_TOL):
+    """The one extraction that Kraus generators and capacity both read."""
     s = hermitize(c.s, tol)
-    params = inverse(s, tol)
+    return s, inverse(s, tol)
+
+
+def _kraus_from_params(c, s, params, tol: Tolerance = DEFAULT_TOL) -> KrausSet:
     scale = maxnorm(s)
     u = cholesky_factor(params, tol) * params.diag[None, :]
     drop_eps = tol.abs_eps * (1.0 + math.sqrt(scale))
@@ -323,8 +331,11 @@ def capacity_D(c: ChoiMatrix, tol: Tolerance = DEFAULT_TOL) -> float:
     matrices assembled in floating point are still flagged.  Requires a
     completely positive input (NotPSDError propagates otherwise).
     """
-    s = hermitize(c.s, tol)
-    return -_logdet(inverse(s, tol)) / s.shape[0]
+    return _capacity_from_params(_choi_params(c, tol)[1])
+
+
+def _capacity_from_params(params: SchurParams) -> float:
+    return -_logdet(params) / params.dim
 
 
 def choi_tensor(c1: ChoiMatrix, c2: ChoiMatrix) -> ChoiMatrix:
@@ -455,14 +466,16 @@ def qubit_nf_params(nf: QubitChannelNF,
     def place(k: int, j: int, entry: complex, known: complex, dprod: float):
         """One recursion step: extract, clamp, or mask gamma_(k+1)(j+1)."""
         label = (k + 1, j + 1)
-        val, failure = _entry_step(entry, known, lvec[k], lvec[j], dprod, bounds)
+        val, masked, failure = _entry_step(entry, known, lvec[k] * lvec[j], dprod,
+                                           bounds)
+        val = None if masked else complex(val)
         gamma[label] = val
         if failure is not None:
             notes.append(
-                f"|Gamma{label[0]}{label[1]}| = {failure[1]:.6g} exceeds 1"
+                f"|Gamma{label[0]}{label[1]}| = {failure[2]:.6g} exceeds 1"
                 if val is not None else
                 f"degenerate entry S{label[0]}{label[1]} inconsistent "
-                f"(residual {failure[1]:.6g})")
+                f"(residual {failure[2]:.6g})")
         if val is None:
             return
         mod = abs(val)

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .channels import ChoiMatrix, capacity_D, kraus_from_choi
+from .channels import ChoiMatrix, _capacity_from_params, _choi_params, _kraus_from_params
 from .displacement import displacement_inverse
 from .fileio import (
     dumps_canonical,
@@ -132,7 +132,8 @@ def cmd_channel(args) -> int:
             f"--dout {args.dout}")
     c = ChoiMatrix(args.din, args.dout, m)
     try:
-        ks = kraus_from_choi(c)  # NotPSDError -> exit 2
+        s, params = _choi_params(c)  # NotPSDError -> exit 2
+        ks = _kraus_from_params(c, s, params)
     except ValueError as exc:
         if isinstance(exc, NotPSDError):
             raise
@@ -142,7 +143,7 @@ def cmd_channel(args) -> int:
             write_text(f"{args.kraus}_{idx}.json",
                        dumps_canonical(matrix_to_obj(gen)))
     if args.capacity:
-        out = {"capacity": encode_scalar(capacity_D(c))}
+        out = {"capacity": encode_scalar(_capacity_from_params(params))}
         sys.stdout.write(dumps_canonical(out))
     return 0
 

@@ -87,14 +87,14 @@ def maxnorm(m: np.ndarray) -> float:
     """Largest entry modulus; 0.0 for empty input."""
     if m.size == 0:
         return 0.0
-    return float(np.max(np.abs(m)))
+    return float(np.abs(m).max())
 
 
 def _as_square(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m.astype(np.complex128, copy=False)
 

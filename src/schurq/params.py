@@ -1,24 +1,29 @@
 """Contraction-parameter coordinates for PSD matrices.
 
-A Hermitian PSD matrix ``S`` of size d is coordinatized by
+A Hermitian PSD matrix ``S``, read as the Gram matrix of vectors x_0..x_{d-1},
+is coordinatized by factors ``L_k = sqrt(S_kk)`` and strictly upper-triangular
+parameters ``gamma[k, j]`` in the closed unit disc: the partial correlation of
+x_k and x_j given x_{k+1..j-1} (a D-vine); ``S = D_L (G* G) D_L`` with
+``D_L = diag(L)`` and ``G`` upper triangular.
 
-* nonnegative diagonal factors ``L_k = sqrt(S_kk)``, and
-* strictly upper-triangular parameters ``gamma[k, j]`` (k < j) in the closed
-  unit disc.
+One band lattice (Levinson/Schur recursion) treats every window [k, k+b] of a
+band at once.  It carries the residual rows ``f[k]`` of x_k and ``g[k+b]`` of
+x_{k+b} given x_{k+1..k+b-1}, and products ``dl[k]``, ``dr[k+b]`` of the defects
+``sqrt(1 - |gamma|^2)`` along the window's row and column.  Each conditioning
+step scales a residual variance by ``1 - |gamma|^2``, so the residuals'
+covariance ``a`` is gamma times ``L_k L_j dl[k] dr[j]``, the divisor of the
+entry expansion.  ``f -= (a / var_g) g``, ``g -= (conj(a) / var_f) f`` moves
+every window one step out.  Synthesis carries coefficient rows and sets ``S_kj
+= gamma * divisor - f[k] . S[:, j]`` while ``S_kj`` is 0; extraction also
+carries the rows times ``S`` (the Schur form, accurate on ill-conditioned
+input) and reads ``a`` off an entry.  Finally ``g[j]`` is x_j's residual given
+x_0..x_{j-1}, which yields ``G``.  O(d^3) time and O(d^2) memory in all.
 
-The map runs through an upper-triangular unit factor ``G`` built column by
-column from elementary 2x2 rotations ``[[g, s], [s, -conj(g)]]`` with
-``s = sqrt(1 - |g|^2)`` (the defect of ``g``): ``S = D_L (G* G) D_L`` with
-``D_L = diag(L)``.  Off-diagonal entries split as "known part determined by
-shorter bands" plus "defect product times gamma[k, j]", so the inverse map
-peels parameters band by band (|j - k| = 1, 2, ...), each band only dividing
-by quantities fixed by strictly shorter bands.
-
-Degenerate entries: when the divisor ``L_k L_j * (defect product)`` is
-numerically zero, ``S_kj`` carries no information about ``gamma[k, j]``; the
-parameter is stored as 0 with ``defined[k, j] = False`` and the entry is only
-checked for consistency.  Reconstruction is insensitive to the convention
-value because its coefficient is the vanished divisor.
+Degenerate entries: when the divisor is numerically zero, ``S_kj`` carries no
+information about ``gamma[k, j]``; the parameter is stored as 0 with
+``defined[k, j] = False``, the entry is only checked for consistency, and
+extraction goes on with its covariance removed, so reconstruction does not
+depend on the convention value (its coefficient is the vanished divisor).
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ __all__ = [
 def defect(g: np.ndarray | complex) -> np.ndarray | float:
     """sqrt(1 - |g|^2), clipped at 0 for |g| rounded just above 1."""
     mod2 = np.abs(g) ** 2
-    return np.sqrt(np.clip(1.0 - mod2, 0.0, None))
+    return np.sqrt(np.maximum(1.0 - mod2, 0.0))
 
 
 @dataclass
@@ -75,113 +80,23 @@ class SchurParams:
         if self.diag.shape != (d,) or self.gamma.shape != (d, d) \
                 or self.defined.shape != (d, d):
             raise ValueError("inconsistent shapes in SchurParams")
-        if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.gamma))):
+        if not (np.isfinite(self.diag).all() and np.isfinite(self.gamma).all()):
             raise ValueError("non-finite entries in SchurParams")
-        if np.any(self.diag < 0):
+        if (self.diag < 0).any():
             raise ValueError("diagonal factors must be nonnegative")
-        strict_upper = np.triu(np.ones((d, d), dtype=bool), 1)
-        if np.any(self.gamma[~strict_upper] != 0):
+        lower = np.tri(d, dtype=bool)
+        if self.gamma[lower].any():
             raise ValueError("gamma must be strictly upper triangular")
-        if np.any(self.defined & ~strict_upper):
+        if self.defined[lower].any():
             raise ValueError("defined mask must be strictly upper triangular")
-        if np.any(np.abs(self.gamma) > 1.0 + tol.abs_eps):
+        if (np.abs(self.gamma) > 1.0 + tol.abs_eps).any():
             raise ValueError("parameters must lie in the closed unit disc")
-        if np.any((~self.defined) & strict_upper & (self.gamma != 0)):
+        if self.gamma[~self.defined].any():
             raise ValueError("masked parameters must carry the convention value 0")
 
     def copy(self) -> "SchurParams":
         return SchurParams(self.dim, self.diag.copy(), self.gamma.copy(),
                            self.defined.copy())
-
-
-def _rotate_rows(m: np.ndarray, i: int, g: complex) -> None:
-    """Left-multiply ``m`` in place by the elementary rotation acting on rows
-    (i, i+1): new_i = g*row_i + s*row_{i+1}; new_{i+1} = s*row_i - conj(g)*row_{i+1}."""
-    s = defect(g)
-    top = m[i, :].copy()
-    m[i, :] = g * top + s * m[i + 1, :]
-    m[i + 1, :] = s * top - np.conj(g) * m[i + 1, :]
-
-
-class _WindowTable:
-    """Memoized scalar unitaries W[k, j] of the band recursion.
-
-    ``window(k, j)`` is the (j-k+1)-square unitary obtained by applying the
-    rotations of ``gamma[k, k+1..j]`` (outermost first) to ``window(k+1, j)``
-    padded by one trailing identity row/column; ``window(k, k)`` is [[1]].
-    It only reads ``gamma`` entries of bands <= j-k, so entries of a table
-    built during band-by-band extraction stay valid as later bands fill in.
-    """
-
-    def __init__(self, gamma: np.ndarray):
-        self._gamma = gamma
-        self._memo: dict[tuple[int, int], np.ndarray] = {}
-
-    def window(self, k: int, j: int) -> np.ndarray:
-        key = (k, j)
-        w = self._memo.get(key)
-        if w is not None:
-            return w
-        n = j - k + 1
-        if n == 1:
-            w = np.eye(1, dtype=np.complex128)
-        else:
-            w = np.zeros((n, n), dtype=np.complex128)
-            w[:n - 1, :n - 1] = self.window(k + 1, j)
-            w[n - 1, n - 1] = 1.0
-            for l in range(n - 1, 0, -1):
-                _rotate_rows(w, l - 1, self._gamma[k, k + l])
-        self._memo[key] = w
-        return w
-
-
-def _row_contraction(gamma: np.ndarray, k: int, j: int) -> np.ndarray:
-    """Entries m = k+1..j of the row vector: prod of row defects then gamma[k, m]."""
-    out = np.empty(j - k, dtype=np.complex128)
-    acc = 1.0
-    for i, m in enumerate(range(k + 1, j + 1)):
-        out[i] = acc * gamma[k, m]
-        acc *= defect(gamma[k, m])
-    return out
-
-
-def _col_contraction(gamma: np.ndarray, k: int, j: int) -> np.ndarray:
-    """Entries m = j-1 down to k of the column vector: gamma[m, j] times the
-    defects of the parameters below it in column j."""
-    out = np.empty(j - k, dtype=np.complex128)
-    acc = 1.0
-    for i, m in enumerate(range(j - 1, k - 1, -1)):
-        out[i] = gamma[m, j] * acc
-        acc *= defect(gamma[m, j])
-    return out
-
-
-def cholesky_factor(params: SchurParams, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Unit upper-triangular-by-construction factor G with
-    ``diag(L) (G* G) diag(L) == forward(params)``.
-
-    Column j stacks ``window(0, j-1) @ col_contraction(0, j)`` over the
-    product of the defects in column j; G[0, 0] = 1.
-    """
-    params.validate(tol)
-    d = params.dim
-    gamma = params.gamma
-    table = _WindowTable(gamma)
-    g = np.zeros((d, d), dtype=np.complex128)
-    g[0, 0] = 1.0
-    for j in range(1, d):
-        g[:j, j] = table.window(0, j - 1) @ _col_contraction(gamma, 0, j)
-        g[j, j] = np.prod(defect(gamma[:j, j]))
-    return g
-
-
-def forward(params: SchurParams, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Synthesize the PSD matrix with the given parameters."""
-    g = cholesky_factor(params, tol)
-    su = g.conj().T @ g
-    su = 0.5 * (su + su.conj().T)  # exact Hermitian symmetry
-    l = params.diag
-    return l[:, None] * su * l[None, :]
 
 
 class _Bounds(NamedTuple):
@@ -215,40 +130,118 @@ def _preamble(s: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, _B
     if dvec[neg] < -bounds.entry_tol:
         raise NotPSDError("negative diagonal", entry=(neg, neg),
                           value=float(dvec[neg]))
-    return s, np.sqrt(np.clip(dvec, 0.0, None)), bounds
+    return s, np.sqrt(np.maximum(dvec, 0.0)), bounds
 
 
-def _disc_allowance(tol: Tolerance, scale: float, divisor: float) -> float:
+def _disc_allowance(tol: Tolerance, scale: float, divisor):
     """How far |gamma| may exceed 1 before the matrix is rejected.
 
     An excess e at divisor q corresponds to an entry perturbation of e*q, so
     matching the eigenvalue-oracle threshold rel_eps*(1+scale) means allowing
     e up to rel_eps*(1+scale)/q (capped: a unit-size excess is never noise).
     """
-    return max(tol.rel_eps, min(0.1, tol.rel_eps * (1.0 + scale) / divisor))
+    with np.errstate(divide="ignore"):
+        return np.maximum(tol.rel_eps,
+                          np.minimum(0.1, tol.rel_eps * (1.0 + scale) / divisor))
 
 
-def _entry_step(entry: complex, known: complex, lk: float, lj: float, dprod: float,
-                bounds: _Bounds) -> tuple[complex | None, tuple[str, float] | None]:
-    """Extract gamma from ``entry = L_k L_j (known + dprod * gamma)``.
-
-    Returns ``(gamma, failure)``: ``gamma`` is None when the divisor is
-    degenerate (masked), else the value before clamping onto the circle;
-    ``failure`` is None or the ``(reason, value)`` of the NotPSDError the
-    entry proves.
-    """
-    ll = lk * lj
+def _entry_step(entry, known, ll, dprod, bounds: _Bounds):
+    """Extract gamma from ``entry = ll (known + dprod * gamma)``, elementwise:
+    ``(val, masked, failure)``, with ``val`` before clamping onto the circle (0
+    where ``masked`` flags a degenerate divisor) and ``failure`` None or
+    ``(i, reason, value)`` for the first flat index proving a NotPSDError."""
     divisor = ll * dprod
-    if bounds.degenerate(divisor):
-        resid = abs(entry - ll * known)
-        if resid > bounds.entry_tol + divisor:
-            return None, ("inconsistent degenerate entry", float(resid))
-        return None, None
-    val = complex((entry / ll - known) / dprod)
-    mod = abs(val)
-    if mod > 1.0 and mod - 1.0 > _disc_allowance(bounds.tol, bounds.scale, divisor):
-        return val, ("parameter outside the unit disc", mod)
-    return val, None
+    masked = bounds.degenerate(divisor)
+    if not masked.any():
+        val = (entry / ll - known) / dprod
+        if not (np.abs(val) > 1.0).any():
+            return val, masked, None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = np.where(masked, 0.0, (entry / ll - known) / dprod)
+    mod, resid = np.abs(val), np.abs(entry - ll * known)
+    inconsistent = masked & (resid > bounds.entry_tol + divisor)
+    allowance = _disc_allowance(bounds.tol, bounds.scale, divisor)
+    outside = (mod > 1.0) & (mod - 1.0 > allowance)
+    bad = np.ravel(inconsistent | outside)
+    if not bad.any():
+        return val, masked, None
+    i = int(np.argmax(bad))
+    if np.ravel(inconsistent)[i]:
+        return val, masked, (i, "inconsistent degenerate entry",
+                             float(np.ravel(resid)[i]))
+    return val, masked, (i, "parameter outside the unit disc", float(np.ravel(mod)[i]))
+
+
+class _Lattice:
+    """Before band b, ``f[k]``, ``g[k+b]`` are window [k, k+b]'s residual rows.
+
+    The lattice takes over ``rows``: the identity gives coefficient rows,
+    ``[S | I]`` covariances with every x_l followed by coefficients (so
+    ``f[k, k+b]`` is the window's covariance).  One linear update serves both.
+    """
+
+    def __init__(self, lvec: np.ndarray, rows: np.ndarray):
+        self.lvec, self.f, self.g = lvec, rows, rows.copy()
+        self.dl, self.dr = np.ones(lvec.shape[0]), np.ones(lvec.shape[0])
+
+    def divisor(self, b: int) -> tuple[np.ndarray, np.ndarray]:  # (L_k L_{k+b}, dprod)
+        return self.lvec[:-b] * self.lvec[b:], self.dl[:-b] * self.dr[b:]
+
+    def absorb(self, b: int, gam: np.ndarray, divisor: np.ndarray) -> None:
+        """Move every window of band b one step out, past its parameter.  A
+        window of zero divisor has a zero-variance residual: its rows stay."""
+        n = gam.shape[0]
+        dg, live = defect(gam), divisor > 0.0
+        sl, sr = self.lvec[:n] * self.dl[:n], self.lvec[b:] * self.dr[b:]  # sd(f), sd(g)
+        if not live.all():
+            gam, sl, sr = np.where(live, gam, 0.0), np.where(live, sl, 1.0), \
+                np.where(live, sr, 1.0)
+        cf, cg = gam * (sl / sr), np.conj(gam) * (sr / sl)
+        f, g = self.f[:n], self.g[b:]
+        f[...], g[...] = f - cf[:, None] * g, g - cg[:, None] * f
+        self.dl[:n] *= dg
+        self.dr[b:] *= dg
+
+
+def _band_diagonal(m: np.ndarray, b: int) -> np.ndarray:
+    """Writable view of the entries ``m[k, k+b]`` of a contiguous (d, n) array."""
+    d, n = m.shape
+    return m.reshape(-1)[b::n + 1][:d - b]
+
+
+def _synthesize(params: SchurParams, tol: Tolerance) -> tuple[np.ndarray, _Lattice]:
+    """Upper triangle of the matrix of ``params`` and the final coefficient lattice."""
+    params.validate(tol)
+    d, lvec = params.dim, params.diag
+    s = np.diag((lvec * lvec).astype(np.complex128))
+    lat = _Lattice(lvec, np.eye(d, dtype=np.complex128))
+    for b in range(1, d):
+        ll, dprod = lat.divisor(b)
+        gam = params.gamma.diagonal(b)
+        # f[k] . S[:, k+b] while S[k, k+b] is still 0: the projected part.
+        known = np.einsum("ki,ik->k", lat.f[:d - b], s[:, b:])  # reads the upper part
+        _band_diagonal(s, b)[:] = gam * (ll * dprod) - known
+        lat.absorb(b, gam, ll * dprod)
+    return s, lat
+
+
+def cholesky_factor(params: SchurParams, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Upper-triangular G with ``diag(L) (G* G) diag(L) == forward(params)``.
+
+    ``G[j, j]`` is column j's defect product.  Above it, row j holds the
+    covariances of x_j's residual given x_0..x_{j-1} over its standard
+    deviation and ``L_l``, or 0 where either vanishes (a zero pivot row)."""
+    s, lat = _synthesize(params, tol)  # (B S)[j, l] for l >= j reads only the upper part
+    scale = (params.diag * lat.dr)[:, None] * params.diag
+    g = np.triu(np.divide(lat.g @ s, scale, out=np.zeros_like(s), where=scale > 0.0), 1)
+    _band_diagonal(g, 0)[:] = lat.dr
+    return g
+
+
+def forward(params: SchurParams, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Synthesize the PSD matrix with the given parameters."""
+    s = _synthesize(params, tol)[0]
+    return s + np.triu(s, 1).conj().T
 
 
 def inverse(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SchurParams:
@@ -260,33 +253,26 @@ def inverse(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SchurParams:
     """
     s, lvec, bounds = _preamble(s, tol)
     d = s.shape[0]
-    gamma = np.zeros((d, d), dtype=np.complex128)
-    defined = np.zeros((d, d), dtype=bool)
-    table = _WindowTable(gamma)
-
+    gamma, defined = np.zeros((d, d), dtype=np.complex128), np.zeros((d, d), dtype=bool)
+    lat = _Lattice(lvec, np.concatenate((s, np.eye(d, dtype=np.complex128)), axis=1))
     for b in range(1, d):
-        for k in range(d - b):
-            j = k + b
-            if b == 1:
-                known = 0.0 + 0.0j
-                dprod = 1.0
-            else:
-                known = (_row_contraction(gamma, k, j - 1)
-                         @ table.window(k + 1, j - 1)
-                         @ _col_contraction(gamma, k + 1, j))
-                dprod = float(np.prod(defect(gamma[k, k + 1:j]))
-                              * np.prod(defect(gamma[k + 1:j, j])))
-            val, failure = _entry_step(s[k, j], known, lvec[k], lvec[j], dprod,
-                                       bounds)
-            if failure is not None:
-                raise NotPSDError(failure[0], entry=(k, j), band=b,
-                                  value=failure[1])
-            if val is None:
-                continue  # gamma stays 0, defined stays False
-            mod = abs(val)
-            gamma[k, j] = val / mod if mod > 1.0 else val
-            defined[k, j] = True
-
+        ll, dprod = lat.divisor(b)
+        cov = _band_diagonal(lat.f, b)
+        val, masked, failure = _entry_step(cov, 0.0, ll, dprod, bounds)
+        if failure is not None:
+            k, reason, value = failure
+            raise NotPSDError(reason, entry=(k, k + b), band=b, value=value)
+        if masked.any():  # go on from S minus the masked covariances
+            k, a = np.flatnonzero(masked), cov[masked]
+            for rows in (lat.f, lat.g):
+                rows[:, k + b] -= rows[:, d + k] * a
+                rows[:, k] -= rows[:, d + k + b] * np.conj(a)
+        mod = np.abs(val)
+        gam = np.divide(val, mod, out=val, where=mod > 1.0)  # clamp onto the circle
+        _band_diagonal(gamma, b)[:] = gam
+        _band_diagonal(defined, b)[:] = ~masked
+        if b < d - 1:
+            lat.absorb(b, gam, ll * dprod)
     params = SchurParams(d, lvec, gamma, defined)
     params.validate(tol)
     return params

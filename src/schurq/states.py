@@ -52,8 +52,7 @@ from .linalg import (
     maxnorm,
     reference_eigenvalues,
 )
-from .params import SchurParams, _logdet, cholesky_factor, defect, forward, \
-    inverse, is_psd_via_params
+from .params import SchurParams, _logdet, defect, forward, inverse, is_psd_via_params
 
 __all__ = [
     "HermBasis",

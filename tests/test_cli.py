@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schurq.channels import ChoiMatrix, is_trace_preserving, map_from_choi
+from schurq.channels import ChoiMatrix, is_trace_preserving, kraus_from_choi, map_from_choi
 from schurq.cli import main
 from schurq.fileio import (
     dumps_canonical,
@@ -275,6 +275,30 @@ def test_channel_identity_single_kraus_file(tmp_path, capsys):
                  "--kraus", str(tmp_path / "k")]) == 0
     assert json.loads(capsys.readouterr().out)["capacity"] == "+inf"
     assert len(sorted(tmp_path.glob("k_*.json"))) == 1
+
+
+def test_channel_extracts_once(tmp_path, capsys, monkeypatch):
+    """Kraus files and capacity come from one extraction of the Choi matrix."""
+    import schurq.channels as channels
+
+    calls = []
+    extract = channels.inverse
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return extract(*args, **kwargs)
+
+    monkeypatch.setattr(channels, "inverse", counted)
+    assert main(["channel", "--choi", str(GOLDEN / "depol_choi.json"),
+                 "--din", "2", "--dout", "2",
+                 "--kraus", str(tmp_path / "k"), "--capacity"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == (GOLDEN / "depol_capacity.json").read_text()
+    ks = kraus_from_choi(ChoiMatrix(2, 2, _read_matrix(GOLDEN / "depol_choi.json")))
+    files = sorted(tmp_path.glob("k_*.json"))
+    assert len(files) == len(ks.generators)
+    for path, gen in zip(files, ks.generators):
+        assert path.read_bytes() == dumps_canonical(matrix_to_obj(gen)).encode()
 
 
 def test_channel_transpose_exit2(tmp_path, capsys):

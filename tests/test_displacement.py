@@ -30,6 +30,11 @@ def test_agrees_with_direct_inverse():
         assert np.array_equal(p1.defined, p2.defined)
         assert maxnorm(p1.gamma - p2.gamma) <= 1e-9
         assert maxnorm(p1.diag - p2.diag) <= 1e-9
+    x = rng.normal(size=(64, 32)) + 1j * rng.normal(size=(64, 32))
+    s = x.conj().T @ x
+    p1, p2 = inverse(s), displacement_inverse(s)
+    assert np.array_equal(p1.defined, p2.defined)
+    assert maxnorm(p1.gamma - p2.gamma) <= 1e-9
 
 
 def test_boundary_pattern():

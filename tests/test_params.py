@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,39 @@ def _random_params(rng, d, radius=0.95):
                     break
     diag = np.abs(rng.normal(size=d)) + 0.1
     return SchurParams(d, diag, gamma)
+
+
+def _large_psd(rng, d, rank):
+    """X*X with X of shape (rank, d), trace normalized to d."""
+    x = rng.normal(size=(rank, d)) + 1j * rng.normal(size=(rank, d))
+    s = x.conj().T @ x
+    return 0.5 * (s + s.conj().T) * (d / np.trace(s).real)
+
+
+def _corner_not_psd(s):
+    """Move the corner entry 50% of a radius outside the disc of PSD
+    completions.  Every proper contiguous window is untouched, so extraction
+    runs to the last band before it can reject."""
+    d = s.shape[0]
+    m, u, v = s[1:-1, 1:-1], s[0, 1:-1], s[1:-1, -1]
+    centre = u @ np.linalg.solve(m, v)
+    left = s[0, 0].real - (u @ np.linalg.solve(m, u.conj())).real
+    right = s[-1, -1].real - (v.conj() @ np.linalg.solve(m, v)).real
+    out = s.copy()
+    out[0, d - 1] = centre + 1.5 * np.sqrt(left * right)
+    out[d - 1, 0] = np.conj(out[0, d - 1])
+    return out
+
+
+def _large_inputs():
+    """Full-rank and rank-d/4 PSD matrices at d 32 and 48."""
+    rng = np.random.default_rng(60)
+    return [_large_psd(rng, d, r) for d in (32, 48) for r in (2 * d, d // 4)]
+
+
+def _hilbert(d):
+    i = np.arange(d)
+    return 1.0 / (i[:, None] + i[None, :] + 1)
 
 
 def test_forward_identity_params():
@@ -96,6 +130,12 @@ def test_cholesky_factor_shape_and_consistency():
     assert g[0, 0] == 1.0
     s = (p.diag[:, None] * (g.conj().T @ g) * p.diag[None, :])
     np.testing.assert_allclose(s, forward(p), atol=1e-12)
+    for s in _large_inputs():
+        p = inverse(s)
+        g = cholesky_factor(p)
+        assert maxnorm(np.tril(g, -1)) == 0
+        u = g * p.diag[None, :]
+        assert maxnorm(u.conj().T @ u - s) <= 1e-9 * (1 + maxnorm(s))
 
 
 def test_cholesky_factor_d2():
@@ -160,6 +200,12 @@ def test_inverse_rejects():
         inverse(np.array([[0.0, 0.5], [0.5, 1.0]]))
     with pytest.raises(ValueError):
         inverse(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
+    # corner entry outside its disc: rejected in the last band, at the corner
+    rng = np.random.default_rng(61)
+    for d in (32, 48):
+        with pytest.raises(NotPSDError) as info:
+            inverse(_corner_not_psd(_large_psd(rng, d, 2 * d)))
+        assert info.value.entry == (0, d - 1) and info.value.band == d - 1
 
 
 def test_round_trip_params_to_matrix():
@@ -182,6 +228,8 @@ def test_round_trip_matrix_to_params():
         s = x.conj().T @ x
         err = maxnorm(forward(inverse(s)) - s)
         assert err <= 1e-9 * (1 + maxnorm(s))
+    for s in _large_inputs():
+        assert maxnorm(forward(inverse(s)) - s) <= 1e-9 * (1 + maxnorm(s))
 
 
 def test_gamma_scale_invariance():
@@ -244,6 +292,11 @@ def test_det_matches_reference():
         assert math.copysign(1.0, det) == 1.0
         if entropy_E(st) == -math.inf:
             assert det == 0.0
+    # d 32 and 48, relative to the diagonal product
+    for s in _large_inputs():
+        diag_prod = float(np.prod(s.diagonal().real))
+        lu = reference_determinant(s) / diag_prod
+        assert abs(det_from_params(inverse(s)) / diag_prod - lu) <= 1e-9 + 1e-6 * abs(lu)
 
 
 def test_is_psd_via_params():
@@ -252,6 +305,24 @@ def test_is_psd_via_params():
     assert is_psd_via_params(x.T @ x)
     assert not is_psd_via_params(np.array([[1.0, 2.0], [2.0, 1.0]]))
     assert is_psd_via_params(np.diag([1.0, 0.0]))
+    for d in range(2, 12):
+        h = _hilbert(d)
+        assert is_psd_via_params(h)
+        assert maxnorm(forward(inverse(h)) - h) <= 1e-9 * (1 + maxnorm(h))
+
+
+def test_memory_stays_quadratic():
+    """No O(d^4) table: inverse and forward at d=64 peak under 2 MB."""
+    s = _large_psd(np.random.default_rng(62), 64, 128)
+    p = inverse(s)
+    for call, arg in ((inverse, s), (forward, p)):
+        tracemalloc.start()
+        try:
+            call(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 def test_is_psd_agrees_with_eigen_oracle():
