@@ -26,7 +26,6 @@ from .linalg import (
     DEFAULT_TOL,
     ConsistencyError,
     NotPSDError,
-    Tolerance,
     is_hermitian,
     kron,
     maxnorm,

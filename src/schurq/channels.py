@@ -31,15 +31,13 @@ bounds) that decide complete positivity, including the degenerate cases.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ConsistencyError, Tolerance, hermitize, maxnorm
+from .linalg import DEFAULT_TOL, ConsistencyError, hermitize, maxnorm
 from .params import (
     SchurParams,
-    _Bounds,
     _entry_step,
     _logdet,
     cholesky_factor,
@@ -117,7 +115,7 @@ class ChoiMatrix:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Generators of a completely positive map, zero generators dropped.
+    """Generators of a completely positive map, negligible generators dropped.
 
     Each generator has shape (d_out, d_in) and the channel acts as
     ``sum K rho K*``; ``convention`` records the validated placement of
@@ -233,62 +231,60 @@ def adjoint(m: LinearMap) -> LinearMap:
 # Structural checks
 
 
-def is_trace_preserving(m: LinearMap, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_trace_preserving(m: LinearMap) -> bool:
     """tr(Phi(x)) = tr(x), checked as adjoint(Phi)(I) = I."""
     eye_out = np.eye(m.d_out, dtype=np.complex128)
     eye_in = np.eye(m.d_in, dtype=np.complex128)
-    return maxnorm(apply(adjoint(m), eye_out) - eye_in) <= tol.entry(1.0)
+    return maxnorm(apply(adjoint(m), eye_out) - eye_in) <= DEFAULT_TOL.entry(1.0)
 
 
-def is_unital(m: LinearMap, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_unital(m: LinearMap) -> bool:
     eye_in = np.eye(m.d_in, dtype=np.complex128)
     eye_out = np.eye(m.d_out, dtype=np.complex128)
-    return maxnorm(apply(m, eye_in) - eye_out) <= tol.entry(1.0)
+    return maxnorm(apply(m, eye_in) - eye_out) <= DEFAULT_TOL.entry(1.0)
 
 
-def is_completely_positive(c: ChoiMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_completely_positive(c: ChoiMatrix) -> bool:
     """Positivity of the Choi matrix, via parameter extraction."""
-    return is_psd_via_params(hermitize(c.s, tol), tol)
+    return is_psd_via_params(hermitize(c.s))
 
 
 # ---------------------------------------------------------------------------
 # Kraus generators
 
 
-def kraus_from_choi(c: ChoiMatrix, tol: Tolerance = DEFAULT_TOL) -> KrausSet:
+def kraus_from_choi(c: ChoiMatrix) -> KrausSet:
     """Kraus generators from the parameter-driven Cholesky factor.
 
     Row n of U = G diag(L), reshaped row-major to d_in x d_out, is a
     generator A_n with Phi(rho) = sum A_n* rho A_n; the returned set stores
-    K_n = A_n* per the module convention.  All-zero rows are dropped.  The
+    K_n = A_n* per the module convention.  Rows too small to show in the
+    check below are dropped (rounding noise on rank-deficient input).  The
     factorization S = A* A is verified before returning; since the map is an
     exact reindexing of S, this also fixes the action on every matrix unit,
     so a KrausSet is trustworthy by construction.  Propagates NotPSDError
     when the Choi matrix is not PSD.
     """
-    return _kraus_from_params(c, *_choi_params(c, tol), tol)
+    return _kraus_from_params(c, *_choi_params(c))
 
 
-def _choi_params(c: ChoiMatrix, tol: Tolerance = DEFAULT_TOL):
+def _choi_params(c: ChoiMatrix):
     """The one extraction that Kraus generators and capacity both read."""
-    s = hermitize(c.s, tol)
-    return s, inverse(s, tol)
+    s = hermitize(c.s)
+    return s, inverse(s)
 
 
-def _kraus_from_params(c, s, params, tol: Tolerance = DEFAULT_TOL) -> KrausSet:
+def _kraus_from_params(c, s, params) -> KrausSet:
     scale = maxnorm(s)
-    u = cholesky_factor(params, tol) * params.diag[None, :]
-    drop_eps = tol.abs_eps * (1.0 + math.sqrt(scale))
-    gens = []
-    for row in u:
-        a_n = row.reshape(c.d_in, c.d_out)
-        if maxnorm(a_n) <= drop_eps:
-            continue
-        gens.append(a_n.conj().T.copy())
-    ks = KrausSet(c.d_in, c.d_out, tuple(gens))
+    u = cholesky_factor(params) * params.diag[None, :]
+    check_tol = DEFAULT_TOL.abs_eps * max(1.0, scale)
+    # Row u_n adds u_n* u_n, of max-norm max|u_n|^2, to A* A, so the rows
+    # dropped here add at most check_tol together: the check cannot see them.
+    gens = tuple(row.reshape(c.d_in, c.d_out).conj().T.copy() for row in u
+                 if maxnorm(row) ** 2 * u.shape[0] > check_tol)
+    ks = KrausSet(c.d_in, c.d_out, gens)
 
     a_stack = ks.row_stack()
-    check_tol = 1e-10 * max(1.0, scale)
     resid = maxnorm(a_stack.conj().T @ a_stack - s)
     if resid > check_tol:
         raise ConsistencyError(
@@ -296,7 +292,7 @@ def _kraus_from_params(c, s, params, tol: Tolerance = DEFAULT_TOL) -> KrausSet:
     return ks
 
 
-def completeness_identity(ks: KrausSet, tol: Tolerance = DEFAULT_TOL) -> str | None:
+def completeness_identity(ks: KrausSet) -> str | None:
     """Which quadratic identity the generators satisfy, if any.
 
     Returns ``"sum K*K = I"`` (trace preservation under the stored
@@ -306,8 +302,8 @@ def completeness_identity(ks: KrausSet, tol: Tolerance = DEFAULT_TOL) -> str | N
                np.zeros((ks.d_in, ks.d_in), dtype=np.complex128))
     right = sum((k @ k.conj().T for k in ks.generators),
                 np.zeros((ks.d_out, ks.d_out), dtype=np.complex128))
-    left_ok = maxnorm(left - np.eye(ks.d_in)) <= tol.entry(1.0)
-    right_ok = maxnorm(right - np.eye(ks.d_out)) <= tol.entry(1.0)
+    left_ok = maxnorm(left - np.eye(ks.d_in)) <= DEFAULT_TOL.entry(1.0)
+    right_ok = maxnorm(right - np.eye(ks.d_out)) <= DEFAULT_TOL.entry(1.0)
     if left_ok and right_ok:
         return "both"
     if left_ok:
@@ -321,7 +317,7 @@ def completeness_identity(ks: KrausSet, tol: Tolerance = DEFAULT_TOL) -> str | N
 # Capacity
 
 
-def capacity_D(c: ChoiMatrix, tol: Tolerance = DEFAULT_TOL) -> float:
+def capacity_D(c: ChoiMatrix) -> float:
     """-(1/N) log det of the Choi matrix, from its parameters, in nats.
 
     Equals -(1/N)(sum_k log S_kk + sum log(1 - |Gamma_kj|^2)) over defined
@@ -331,7 +327,7 @@ def capacity_D(c: ChoiMatrix, tol: Tolerance = DEFAULT_TOL) -> float:
     matrices assembled in floating point are still flagged.  Requires a
     completely positive input (NotPSDError propagates otherwise).
     """
-    return _capacity_from_params(_choi_params(c, tol)[1])
+    return _capacity_from_params(_choi_params(c)[1])
 
 
 def _capacity_from_params(params: SchurParams) -> float:
@@ -419,8 +415,7 @@ def qubit_nf_choi(nf: QubitChannelNF) -> tuple[ChoiMatrix, ChoiMatrix]:
     return ChoiMatrix(2, 2, s_phi), ChoiMatrix(2, 2, s_hat)
 
 
-def qubit_nf_params(nf: QubitChannelNF,
-                    tol: Tolerance = DEFAULT_TOL) -> tuple[SchurParams, QubitNFReport]:
+def qubit_nf_params(nf: QubitChannelNF) -> tuple[SchurParams, QubitNFReport]:
     """Closed-form parameters of the doubled adjoint Choi matrix.
 
     Works on S = 2 * S_adjoint, whose corner entries vanish (S_12 = S_34 = 0),
@@ -451,11 +446,11 @@ def qubit_nf_params(nf: QubitChannelNF,
     s23 = l1 - l2
     s14 = l1 + l2
 
-    bounds = _Bounds(tol, max(maxnorm(sdiag), abs(s13), abs(s23), abs(s14)))
+    scale = max(maxnorm(sdiag), abs(s13), abs(s23), abs(s14))
     notes: list[str] = []  # one per violated inequality or residual
 
     for k in range(4):
-        if sdiag[k] < -bounds.entry_tol:
+        if sdiag[k] < -DEFAULT_TOL.entry(scale):
             notes.append(f"S{k + 1}{k + 1} = {sdiag[k]:.6g} is negative")
     lvec = np.sqrt(np.clip(sdiag, 0.0, None))
 
@@ -466,8 +461,7 @@ def qubit_nf_params(nf: QubitChannelNF,
     def place(k: int, j: int, entry: complex, known: complex, dprod: float):
         """One recursion step: extract, clamp, or mask gamma_(k+1)(j+1)."""
         label = (k + 1, j + 1)
-        val, masked, failure = _entry_step(entry, known, lvec[k] * lvec[j], dprod,
-                                           bounds)
+        val, masked, failure = _entry_step(entry, known, lvec[k] * lvec[j], dprod, scale)
         val = None if masked else complex(val)
         gamma[label] = val
         if failure is not None:
@@ -497,7 +491,7 @@ def qubit_nf_params(nf: QubitChannelNF,
     place(0, 3, s14, known14, d13 * d24)
 
     params = SchurParams(4, lvec, gmat, defined)
-    params.validate(tol)
+    params.validate()
 
     def slack(label: tuple[int, int]) -> float:
         return 1.0 - abs(gamma[label]) if gamma[label] is not None else 1.0

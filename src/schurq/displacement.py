@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, NotPSDError, Tolerance, maxnorm
-from .params import SchurParams, _disc_allowance, _preamble, defect, forward
+from .linalg import DEFAULT_TOL, NotPSDError, maxnorm
+from .params import SchurParams, _degenerate, _disc_allowance, _preamble, defect, forward
 
 __all__ = ["GeneratorState", "displacement_inverse"]
 
@@ -90,7 +90,6 @@ def _cholesky_column(g: np.ndarray, d_top: float, piv_eps: float) -> np.ndarray:
 
 def displacement_inverse(
     s: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
     collect_states: bool = False,
 ) -> SchurParams | tuple[SchurParams, list[GeneratorState]]:
     """Extract Schur parameters via the generator recursion.
@@ -98,21 +97,22 @@ def displacement_inverse(
     Agrees with :func:`schurq.params.inverse` (tested to 1e-9 entrywise); the
     result is additionally verified by reconstruction, so inconsistent
     (non-PSD) input raises :class:`NotPSDError` on this route too, either at
-    a signature violation ``d_top < -tol`` or at the final check.
+    a signature violation (``d_top`` below minus the entry slack of the
+    unit-diagonal scaling) or at the final check.
 
     With ``collect_states=True`` returns ``(params, states)`` where ``states``
     contains every recursion node, including the running Cholesky columns at
     shifted time 0 (assembled, they give the conjugate transpose of the unit
     factor of :func:`schurq.params.cholesky_factor` for nonsingular input).
     """
-    s, lvec, bounds = _preamble(s, tol)
+    s, lvec, scale = _preamble(s)
     d = s.shape[0]
-    scale, entry_tol = bounds.scale, bounds.entry_tol
+    entry_tol = DEFAULT_TOL.entry(scale)
 
     # Unit-diagonal scaling with the 0/0 -> 0 convention; entries over a
     # (numerically) vanished diagonal must themselves vanish for a PSD matrix.
     ll = np.outer(lvec, lvec)
-    dead = bounds.degenerate(ll)
+    dead = _degenerate(ll, scale)
     s1 = np.where(dead, 0.0, s / np.where(dead, 1.0, ll))
     bad = dead & ~np.eye(d, dtype=bool) & (np.abs(s) > entry_tol + ll)
     if np.any(bad):
@@ -121,8 +121,8 @@ def displacement_inverse(
                           band=int(abs(j - k)), value=float(abs(s[k, j])))
 
     snorm1 = maxnorm(s1)
-    u_eps = tol.abs_eps
-    d_tol = tol.abs_eps + tol.rel_eps * (1.0 + snorm1)
+    u_eps = DEFAULT_TOL.abs_eps
+    d_tol = DEFAULT_TOL.entry(snorm1)
     prop_tol = 1e3 * d_tol
 
     gens = _initial_generators(s1)
@@ -164,7 +164,7 @@ def displacement_inverse(
                 dgn = False
                 if mod > 1.0:
                     divisor = max(float(abs(u0)) * lvec[k] * lvec[j], 1e-300)
-                    if mod - 1.0 > _disc_allowance(tol, scale, divisor):
+                    if mod - 1.0 > _disc_allowance(scale, divisor):
                         raise NotPSDError("parameter outside the unit disc",
                                           entry=(k, j), band=m, value=float(mod))
                     gh /= mod
@@ -194,14 +194,14 @@ def displacement_inverse(
             j = k + b
             dprod = float(np.prod(defect(final[k, k + 1:j]))
                           * np.prod(defect(final[k + 1:j, j])))
-            if not bounds.degenerate(lvec[k] * lvec[j] * dprod):
+            if not _degenerate(lvec[k] * lvec[j] * dprod, scale):
                 final[k, j] = gamma[k, j]
                 defined[k, j] = True
 
     params = SchurParams(d, lvec, final, defined)
-    params.validate(tol)
+    params.validate()
 
-    err = maxnorm(forward(params, tol) - s)
+    err = maxnorm(forward(params) - s)
     if err > 50.0 * d * entry_tol:
         raise NotPSDError("reconstruction mismatch after extraction",
                           value=float(err))

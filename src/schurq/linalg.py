@@ -22,11 +22,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute/relative tolerance pair used across the package.
+    """Absolute/relative tolerance pair; the package reads ``DEFAULT_TOL``.
 
     Comparisons against a matrix ``m`` generally use
     ``abs_eps + rel_eps * (1 + maxnorm(m))`` so they are meaningful both for
-    tiny and for badly scaled inputs.
+    tiny and for badly scaled inputs.  No function takes a tolerance: every
+    threshold is decided here, from the one instance below.
     """
 
     abs_eps: float = 1e-10
@@ -99,21 +100,22 @@ def _as_square(m: np.ndarray) -> np.ndarray:
     return m.astype(np.complex128, copy=False)
 
 
-def is_hermitian(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     """True iff ``max |m - m*| <= abs_eps + rel_eps * maxnorm(m)``."""
     m = _as_square(m)
-    return maxnorm(m - m.conj().T) <= tol.abs_eps + tol.rel_eps * maxnorm(m)
+    slack = DEFAULT_TOL.abs_eps + DEFAULT_TOL.rel_eps * maxnorm(m)
+    return maxnorm(m - m.conj().T) <= slack
 
 
-def hermitize(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def hermitize(m: np.ndarray) -> np.ndarray:
     """Return the Hermitian average of ``m``, refusing non-Hermitian input."""
     m = _as_square(m)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
     return 0.5 * (m + m.conj().T)
 
 
-def reference_cholesky(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def reference_cholesky(m: np.ndarray) -> np.ndarray:
     """Upper-triangular U with U*U = m, by outer-product elimination.
 
     Unlike ``np.linalg.cholesky`` this accepts singular PSD input: when a
@@ -122,19 +124,20 @@ def reference_cholesky(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarra
     vanishes too — that residual is checked and a violation raises
     :class:`NotPSDError`, as does a genuinely negative pivot.
     """
-    a = hermitize(m, tol).copy()
+    a = hermitize(m).copy()
     d = a.shape[0]
     u = np.zeros((d, d), dtype=np.complex128)
     scale = 1.0 + maxnorm(a)
+    entry_tol = DEFAULT_TOL.entry(scale - 1.0)
     for k in range(d):
         pivot = a[k, k].real
-        if pivot <= tol.abs_eps * scale:
-            if pivot < -tol.entry(scale - 1.0):
+        if pivot <= DEFAULT_TOL.abs_eps * scale:
+            if pivot < -entry_tol:
                 raise NotPSDError("negative pivot", entry=(k, k), value=pivot)
             # Zero pivot: the row is dropped, so the rest of the column must
             # already be (numerically) zero for m to be PSD.
             resid = maxnorm(a[k, k + 1:])
-            if resid > tol.entry(scale - 1.0):
+            if resid > entry_tol:
                 raise NotPSDError("nonzero column at zero pivot",
                                   entry=(k, k), value=resid)
             continue
@@ -146,18 +149,18 @@ def reference_cholesky(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarra
     return u
 
 
-def reference_eigenvalues(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def reference_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian matrix (LAPACK oracle).
 
     Used only in tests and in the eigenvalue-based entropy variant — never on
     the parametrization path.
     """
-    return np.linalg.eigvalsh(hermitize(m, tol))
+    return np.linalg.eigvalsh(hermitize(m))
 
 
-def reference_determinant(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
+def reference_determinant(m: np.ndarray) -> float:
     """LU-based determinant of a Hermitian matrix (real by symmetry)."""
-    return float(np.linalg.det(hermitize(m, tol)).real)
+    return float(np.linalg.det(hermitize(m)).real)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -30,12 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import CIRCLE_SNAP, DEFAULT_TOL, NotPSDError, Tolerance, hermitize, \
-    maxnorm
+from .linalg import CIRCLE_SNAP, DEFAULT_TOL, NotPSDError, hermitize, maxnorm
 
 __all__ = [
     "SchurParams",
@@ -73,7 +71,7 @@ class SchurParams:
             self.defined = np.triu(np.ones((self.dim, self.dim), dtype=bool), 1)
         self.defined = np.asarray(self.defined, dtype=bool)
 
-    def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
+    def validate(self) -> None:
         d = self.dim
         if d < 1:
             raise ValueError("dimension must be >= 1")
@@ -89,7 +87,7 @@ class SchurParams:
             raise ValueError("gamma must be strictly upper triangular")
         if self.defined[lower].any():
             raise ValueError("defined mask must be strictly upper triangular")
-        if (np.abs(self.gamma) > 1.0 + tol.abs_eps).any():
+        if (np.abs(self.gamma) > 1.0 + DEFAULT_TOL.abs_eps).any():
             raise ValueError("parameters must lie in the closed unit disc")
         if self.gamma[~self.defined].any():
             raise ValueError("masked parameters must carry the convention value 0")
@@ -99,41 +97,31 @@ class SchurParams:
                            self.defined.copy())
 
 
-class _Bounds(NamedTuple):
-    """Thresholds of one extraction, fixed by the input's max-norm."""
-
-    tol: Tolerance
-    scale: float
-
-    @property
-    def entry_tol(self) -> float:
-        """Slack of a single matrix entry."""
-        return self.tol.entry(self.scale)
-
-    def degenerate(self, divisor: float | np.ndarray) -> bool | np.ndarray:
-        """The divisor rule: the entry carries no information on its parameter."""
-        return divisor <= self.tol.abs_eps * (1.0 + self.scale)
+def _degenerate(divisor: float | np.ndarray, scale: float) -> bool | np.ndarray:
+    """The divisor rule, at input max-norm ``scale``: the entry carries no
+    information on its parameter."""
+    return divisor <= DEFAULT_TOL.abs_eps * (1.0 + scale)
 
 
-def _preamble(s: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, _Bounds]:
-    """Hermitian average, diagonal factors ``L`` and thresholds of ``s``.
+def _preamble(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Hermitian average, diagonal factors ``L`` and max-norm of ``s``.
 
     Raises ``ValueError`` for empty or non-Hermitian input and
     :class:`NotPSDError` for a negative diagonal.
     """
-    s = hermitize(s, tol)
+    s = hermitize(s)
     if s.shape[0] == 0:
         raise ValueError("empty matrix")
-    bounds = _Bounds(tol, maxnorm(s))
+    scale = maxnorm(s)
     dvec = s.diagonal().real
     neg = int(np.argmin(dvec))
-    if dvec[neg] < -bounds.entry_tol:
+    if dvec[neg] < -DEFAULT_TOL.entry(scale):
         raise NotPSDError("negative diagonal", entry=(neg, neg),
                           value=float(dvec[neg]))
-    return s, np.sqrt(np.maximum(dvec, 0.0)), bounds
+    return s, np.sqrt(np.maximum(dvec, 0.0)), scale
 
 
-def _disc_allowance(tol: Tolerance, scale: float, divisor):
+def _disc_allowance(scale: float, divisor):
     """How far |gamma| may exceed 1 before the matrix is rejected.
 
     An excess e at divisor q corresponds to an entry perturbation of e*q, so
@@ -141,17 +129,17 @@ def _disc_allowance(tol: Tolerance, scale: float, divisor):
     e up to rel_eps*(1+scale)/q (capped: a unit-size excess is never noise).
     """
     with np.errstate(divide="ignore"):
-        return np.maximum(tol.rel_eps,
-                          np.minimum(0.1, tol.rel_eps * (1.0 + scale) / divisor))
+        return np.maximum(DEFAULT_TOL.rel_eps,
+                          np.minimum(0.1, DEFAULT_TOL.rel_eps * (1.0 + scale) / divisor))
 
 
-def _entry_step(entry, known, ll, dprod, bounds: _Bounds):
+def _entry_step(entry, known, ll, dprod, scale: float):
     """Extract gamma from ``entry = ll (known + dprod * gamma)``, elementwise:
     ``(val, masked, failure)``, with ``val`` before clamping onto the circle (0
     where ``masked`` flags a degenerate divisor) and ``failure`` None or
     ``(i, reason, value)`` for the first flat index proving a NotPSDError."""
     divisor = ll * dprod
-    masked = bounds.degenerate(divisor)
+    masked = _degenerate(divisor, scale)
     if not masked.any():
         val = (entry / ll - known) / dprod
         if not (np.abs(val) > 1.0).any():
@@ -159,8 +147,8 @@ def _entry_step(entry, known, ll, dprod, bounds: _Bounds):
     with np.errstate(divide="ignore", invalid="ignore"):
         val = np.where(masked, 0.0, (entry / ll - known) / dprod)
     mod, resid = np.abs(val), np.abs(entry - ll * known)
-    inconsistent = masked & (resid > bounds.entry_tol + divisor)
-    allowance = _disc_allowance(bounds.tol, bounds.scale, divisor)
+    inconsistent = masked & (resid > DEFAULT_TOL.entry(scale) + divisor)
+    allowance = _disc_allowance(scale, divisor)
     outside = (mod > 1.0) & (mod - 1.0 > allowance)
     bad = np.ravel(inconsistent | outside)
     if not bad.any():
@@ -209,9 +197,9 @@ def _band_diagonal(m: np.ndarray, b: int) -> np.ndarray:
     return m.reshape(-1)[b::n + 1][:d - b]
 
 
-def _synthesize(params: SchurParams, tol: Tolerance) -> tuple[np.ndarray, _Lattice]:
+def _synthesize(params: SchurParams) -> tuple[np.ndarray, _Lattice]:
     """Upper triangle of the matrix of ``params`` and the final coefficient lattice."""
-    params.validate(tol)
+    params.validate()
     d, lvec = params.dim, params.diag
     s = np.diag((lvec * lvec).astype(np.complex128))
     lat = _Lattice(lvec, np.eye(d, dtype=np.complex128))
@@ -225,40 +213,40 @@ def _synthesize(params: SchurParams, tol: Tolerance) -> tuple[np.ndarray, _Latti
     return s, lat
 
 
-def cholesky_factor(params: SchurParams, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def cholesky_factor(params: SchurParams) -> np.ndarray:
     """Upper-triangular G with ``diag(L) (G* G) diag(L) == forward(params)``.
 
     ``G[j, j]`` is column j's defect product.  Above it, row j holds the
     covariances of x_j's residual given x_0..x_{j-1} over its standard
     deviation and ``L_l``, or 0 where either vanishes (a zero pivot row)."""
-    s, lat = _synthesize(params, tol)  # (B S)[j, l] for l >= j reads only the upper part
+    s, lat = _synthesize(params)  # (B S)[j, l] for l >= j reads only the upper part
     scale = (params.diag * lat.dr)[:, None] * params.diag
     g = np.triu(np.divide(lat.g @ s, scale, out=np.zeros_like(s), where=scale > 0.0), 1)
     _band_diagonal(g, 0)[:] = lat.dr
     return g
 
 
-def forward(params: SchurParams, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def forward(params: SchurParams) -> np.ndarray:
     """Synthesize the PSD matrix with the given parameters."""
-    s = _synthesize(params, tol)[0]
+    s = _synthesize(params)[0]
     return s + np.triu(s, 1).conj().T
 
 
-def inverse(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SchurParams:
+def inverse(s: np.ndarray) -> SchurParams:
     """Extract parameters of a Hermitian PSD matrix, band by band.
 
     Raises :class:`NotPSDError` (negative diagonal, parameter outside the
     unit disc, or inconsistent degenerate entry) when ``s`` is not PSD, and
     ``ValueError`` when it is not Hermitian.
     """
-    s, lvec, bounds = _preamble(s, tol)
+    s, lvec, scale = _preamble(s)
     d = s.shape[0]
     gamma, defined = np.zeros((d, d), dtype=np.complex128), np.zeros((d, d), dtype=bool)
     lat = _Lattice(lvec, np.concatenate((s, np.eye(d, dtype=np.complex128)), axis=1))
     for b in range(1, d):
         ll, dprod = lat.divisor(b)
         cov = _band_diagonal(lat.f, b)
-        val, masked, failure = _entry_step(cov, 0.0, ll, dprod, bounds)
+        val, masked, failure = _entry_step(cov, 0.0, ll, dprod, scale)
         if failure is not None:
             k, reason, value = failure
             raise NotPSDError(reason, entry=(k, k + b), band=b, value=value)
@@ -274,7 +262,7 @@ def inverse(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SchurParams:
         if b < d - 1:
             lat.absorb(b, gam, ll * dprod)
     params = SchurParams(d, lvec, gamma, defined)
-    params.validate(tol)
+    params.validate()
     return params
 
 
@@ -302,10 +290,10 @@ def det_from_params(params: SchurParams) -> float:
     return float(np.exp(_logdet(params)))
 
 
-def is_psd_via_params(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_psd_via_params(s: np.ndarray) -> bool:
     """Positivity test through parameter extraction (no eigenvalues)."""
     try:
-        inverse(s, tol)
+        inverse(s)
     except NotPSDError:
         return False
     return True

@@ -45,7 +45,6 @@ from .linalg import (
     DEFAULT_TOL,
     ConsistencyError,
     NotPSDError,
-    Tolerance,
     _as_square,
     hermitize,
     kron,
@@ -57,7 +56,6 @@ from .params import SchurParams, _logdet, defect, forward, inverse, is_psd_via_p
 __all__ = [
     "HermBasis",
     "DensityState",
-    "TensorBlocks",
     "SeparabilityVerdict",
     "ConsistencyError",
     "build_basis",
@@ -194,19 +192,19 @@ class DensityState:
     params: SchurParams
 
 
-def state_from_matrix(rho: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> DensityState:
+def state_from_matrix(rho: np.ndarray) -> DensityState:
     """Validate ``rho`` as a state and extract coefficients and parameters.
 
     Raises ``ValueError`` for a non-Hermitian or non-unit-trace input and
     :class:`~schurq.linalg.NotPSDError` (with the failing band) when the
     matrix is not PSD.
     """
-    m = hermitize(_as_square(rho), tol)
+    m = hermitize(_as_square(rho))
     d = m.shape[0]
     tr = float(m.trace().real)
-    if abs(tr - 1.0) > tol.abs_eps:
+    if abs(tr - 1.0) > DEFAULT_TOL.abs_eps:
         raise ValueError(f"state must have unit trace, got {tr!r}")
-    params = inverse(d * m, tol)
+    params = inverse(d * m)
     beta, gamma = _coeffs_of(m)
     return DensityState(d, m, beta, gamma, params)
 
@@ -258,8 +256,7 @@ def _gell_mann_margin(beta: np.ndarray, gamma: np.ndarray) -> float | None:
     return min(margin, m13)
 
 
-def state_from_coeffs(d: int, beta: np.ndarray, gamma: np.ndarray,
-                      tol: Tolerance = DEFAULT_TOL) -> DensityState:
+def state_from_coeffs(d: int, beta: np.ndarray, gamma: np.ndarray) -> DensityState:
     """Build a state from basis coefficients, checking positivity.
 
     The PSD decision is always made by the generic band test; for d = 2
@@ -283,7 +280,7 @@ def state_from_coeffs(d: int, beta: np.ndarray, gamma: np.ndarray,
     elif d == 3:
         fast = _gell_mann_margin(beta, gamma)
     try:
-        state = state_from_matrix(rho, tol)
+        state = state_from_matrix(rho)
     except NotPSDError:
         if fast is not None and fast > _FAST_PATH_SLACK:
             raise ConsistencyError(
@@ -301,11 +298,11 @@ def state_from_coeffs(d: int, beta: np.ndarray, gamma: np.ndarray,
 # Purity
 
 
-def _support(state: DensityState, tol: Tolerance) -> np.ndarray:
-    return np.flatnonzero(state.rho.diagonal().real > tol.abs_eps)
+def _support(state: DensityState) -> np.ndarray:
+    return np.flatnonzero(state.rho.diagonal().real > DEFAULT_TOL.abs_eps)
 
 
-def is_pure(state: DensityState, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_pure(state: DensityState) -> bool:
     """Rank-one test read off the parameters.
 
     True iff every pair of *consecutive* support indices (nonzero
@@ -316,10 +313,10 @@ def is_pure(state: DensityState, tol: Tolerance = DEFAULT_TOL) -> bool:
     moduli move like the square root of entry-level perturbations near
     the boundary.
     """
-    support = _support(state, tol)
+    support = _support(state)
     if support.size == 0:
         return False
-    mu = math.sqrt(tol.abs_eps)
+    mu = math.sqrt(DEFAULT_TOL.abs_eps)
     g = state.params.gamma
     defined = state.params.defined
     consecutive = set(zip(support[:-1], support[1:]))
@@ -333,7 +330,7 @@ def is_pure(state: DensityState, tol: Tolerance = DEFAULT_TOL) -> bool:
     return all(defined[k, j] for k, j in consecutive)
 
 
-def pure_vector(state: DensityState, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def pure_vector(state: DensityState) -> np.ndarray:
     """Unit vector v with ``rho = v v*`` for a pure state.
 
     Over the support indices i_1 < ... < i_k the components are
@@ -341,9 +338,9 @@ def pure_vector(state: DensityState, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     i_m])``; all other components vanish.  The first support component is
     real positive, fixing the global phase.
     """
-    if not is_pure(state, tol):
+    if not is_pure(state):
         raise ValueError("pure_vector requires a pure state")
-    support = _support(state, tol)
+    support = _support(state)
     r = state.rho.diagonal().real
     g = state.params.gamma
     v = np.zeros(state.dim, dtype=np.complex128)
@@ -375,15 +372,15 @@ def entropy_E(state: DensityState) -> float:
     return _logdet(state.params) / state.dim - math.log(state.dim)
 
 
-def entropy_E0(state: DensityState, tol: Tolerance = DEFAULT_TOL) -> float:
+def entropy_E0(state: DensityState) -> float:
     """(1/d) sum of log of the nonzero eigenvalues (eigen-oracle variant).
 
-    Eigenvalues at most ``tol.entry(1)`` are dropped, so every pure state
-    has E0 = 0 while E is -infinity; for strictly positive states E0
+    Eigenvalues at most ``DEFAULT_TOL.entry(1)`` are dropped, so every pure
+    state has E0 = 0 while E is -infinity; for strictly positive states E0
     coincides with :func:`entropy_E`.
     """
-    lam = reference_eigenvalues(state.rho, tol)
-    keep = lam[lam > tol.entry(1.0)]
+    lam = reference_eigenvalues(state.rho)
+    keep = lam[lam > DEFAULT_TOL.entry(1.0)]
     return float(np.sum(np.log(keep)) / state.dim)
 
 
@@ -391,57 +388,21 @@ def entropy_E0(state: DensityState, tol: Tolerance = DEFAULT_TOL) -> float:
 # Tensor products
 
 
-@dataclass(frozen=True)
-class TensorBlocks:
-    """Block-level parameters of a Kronecker product S1 (x) S2.
+def tensor_params(p1: SchurParams, p2: SchurParams) -> SchurParams:
+    """Parameters of ``S1 (x) S2`` where ``p1``, ``p2`` parametrize S1, S2.
 
-    ``diag_blocks[k] = sqrt(S1_kk) * U2`` where ``U2`` is the scaled
-    upper Cholesky factor of S2 (so each block B satisfies ``B* B =
-    S1_kk * S2``), and ``gamma_blocks[(k, j)] = Gamma1_kj * I`` for
-    k < j (0-based).  ``flat`` holds the scalar parameters of the full
-    product matrix.
+    Extracted from the assembled product and verified against it by
+    reconstruction; a residual beyond the slack raises
+    :class:`ConsistencyError`.
     """
-
-    dim1: int
-    dim2: int
-    diag_blocks: tuple[np.ndarray, ...]
-    gamma_blocks: dict[tuple[int, int], np.ndarray]
-    flat: SchurParams
-
-
-def tensor_params(p1: SchurParams, chol2: np.ndarray, diag2: np.ndarray,
-                  tol: Tolerance = DEFAULT_TOL) -> TensorBlocks:
-    """Parameters of ``S1 (x) S2`` from the factors' data.
-
-    ``p1`` parametrizes S1; ``chol2`` is the unit-scale factor of S2 (as
-    returned by :func:`~schurq.params.cholesky_factor`) and ``diag2`` its
-    diagonal, so ``U2 = chol2 @ diag(sqrt(diag2))`` satisfies
-    ``U2* U2 = S2``.  The returned flat parameters are extracted from the
-    assembled product and verified against it.
-    """
-    p1.validate(tol)
-    chol2 = _as_square(chol2)
-    diag2 = np.asarray(diag2, dtype=np.float64)
-    d1, d2 = p1.dim, chol2.shape[0]
-    if diag2.shape != (d2,):
-        raise ValueError("diag2 length must match chol2")
-    if np.any(diag2 < 0) or not np.all(np.isfinite(diag2)):
-        raise ValueError("diag2 must be nonnegative and finite")
-    u2 = chol2 * np.sqrt(diag2)[None, :]
-    s2 = u2.conj().T @ u2
-    s2 = 0.5 * (s2 + s2.conj().T)
-    diag_blocks = tuple(p1.diag[k] * u2 for k in range(d1))
-    eye2 = np.eye(d2, dtype=np.complex128)
-    gamma_blocks = {(k, j): p1.gamma[k, j] * eye2
-                    for k in range(d1) for j in range(k + 1, d1)}
-    s = kron(forward(p1, tol), s2)
-    flat = inverse(s, tol)
-    resid = maxnorm(forward(flat, tol) - s)
-    if resid > 100.0 * tol.entry(maxnorm(s)):
+    s = kron(forward(p1), forward(p2))
+    flat = inverse(s)
+    resid = maxnorm(forward(flat) - s)
+    if resid > 100.0 * DEFAULT_TOL.entry(maxnorm(s)):
         raise ConsistencyError(
-            f"flat tensor parameters fail to reproduce the product "
+            f"tensor parameters fail to reproduce the product "
             f"(residual {resid:.3e})")
-    return TensorBlocks(d1, d2, diag_blocks, gamma_blocks, flat)
+    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +440,8 @@ def partial_transpose(state: DensityState, dims: tuple[int, int]) -> np.ndarray:
 _PPT_DIMS = {(2, 2), (2, 3), (3, 2)}
 
 
-def is_separable_ppt(state: DensityState, dims: tuple[int, int] = (2, 2),
-                     tol: Tolerance = DEFAULT_TOL) -> SeparabilityVerdict:
+def is_separable_ppt(state: DensityState,
+                     dims: tuple[int, int] = (2, 2)) -> SeparabilityVerdict:
     """Positive-partial-transpose criterion (decisive for 2x2 and 2x3).
 
     The verdict comes from the band test on the partial transpose; the
@@ -490,8 +451,8 @@ def is_separable_ppt(state: DensityState, dims: tuple[int, int] = (2, 2),
         raise ValueError(
             f"PPT is only decisive for systems {sorted(_PPT_DIMS)}, got {dims}")
     pt = partial_transpose(state, dims)
-    separable = is_psd_via_params(state.dim * pt, tol)
-    witness = float(np.min(reference_eigenvalues(pt, tol)))
+    separable = is_psd_via_params(state.dim * pt)
+    witness = float(np.min(reference_eigenvalues(pt)))
     return SeparabilityVerdict(separable, "ppt", witness)
 
 
@@ -530,8 +491,7 @@ _GRID_RADII = 32
 _GRID_REFINE = 1
 
 
-def is_separable_params(state: DensityState,
-                        tol: Tolerance = DEFAULT_TOL) -> SeparabilityVerdict:
+def is_separable_params(state: DensityState) -> SeparabilityVerdict:
     """Two-qubit separability via the auxiliary-contraction system.
 
     First the closed-form necessary inequality on the state's own
@@ -566,7 +526,7 @@ def is_separable_params(state: DensityState,
     s24 = math.sqrt(max(r[1] * r[3], 0.0))
     rho13, rho14 = rho[0, 2], rho[0, 3]
     rho23, rho24 = rho[1, 2], rho[1, 3]
-    ftol = 10.0 * tol.entry(1.0)
+    ftol = 10.0 * DEFAULT_TOL.entry(1.0)
 
     four_terms = (g12 * g23 * g34 + d12 * g13 * d23 * g34
                   + g12 * d23 * g24 * d34
@@ -627,7 +587,7 @@ def is_separable_params(state: DensityState,
                 False, "param-inequalities",
                 f"no feasible (h14, h13, h24) after {level + 1} grid levels")
 
-    ppt = is_separable_ppt(state, (2, 2), tol)
+    ppt = is_separable_ppt(state, (2, 2))
     if ppt.separable != verdict.separable:
         raise ConsistencyError(
             "parameter-inequality verdict "

@@ -272,6 +272,16 @@ def test_kraus_drops_zero_generators():
     c = ChoiMatrix(2, 2, np.outer(v, v.conj()))
     ks = kraus_from_choi(c)
     assert len(ks.generators) == 1
+    # S = A* A with A of r rows has rank r: exactly r generators, no
+    # rounding-noise rows from parameters a few ulps inside the circle.
+    for d_in in (2, 3):
+        for d_out in (2, 3):
+            n = d_in * d_out
+            for r in range(1, n + 1):
+                for _ in range(3):
+                    a = _rand_complex(rng, (r, n))
+                    ks = kraus_from_choi(ChoiMatrix(d_in, d_out, a.conj().T @ a))
+                    assert len(ks.generators) == r, (d_in, d_out, r)
 
 
 def test_kraus_set_records_convention():

@@ -13,6 +13,7 @@ and must regenerate byte-identically.
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -472,3 +473,16 @@ def test_console_entry_subprocess(tmp_path):
         capture_output=True, text=True)
     assert r.returncode == 0
     assert (tmp_path / "p.json").exists()
+
+
+DEMOS = Path(__file__).parent.parent / "demos"
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_runs(demo):
+    """Every demo script runs to completion against the package sources."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    r = subprocess.run([sys.executable, str(DEMOS / demo)],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from schurq.linalg import NotPSDError, kron, maxnorm, reference_eigenvalues
-from schurq.params import SchurParams, cholesky_factor, forward
+from schurq.params import SchurParams, forward
 from schurq.states import (
     ConsistencyError,
     build_basis,
@@ -322,15 +322,9 @@ def test_tensor_blocks_gram_identity():
     p1 = SchurParams(d1, np.array([1.0, 0.7, 1.3]), gamma)
     p2 = _two_by_two(rng)
     s1, s2 = forward(p1), forward(p2)
-    blocks = tensor_params(p1, cholesky_factor(p2), p2.diag ** 2)
-    assert len(blocks.diag_blocks) == d1
-    for k in range(d1):
-        bk = blocks.diag_blocks[k]
-        np.testing.assert_allclose(bk.conj().T @ bk, s1[k, k].real * s2,
-                                   atol=1e-12)
-    for (k, j), blk in blocks.gamma_blocks.items():
-        np.testing.assert_allclose(blk, gamma[k, j] * np.eye(d2), atol=1e-15)
-    np.testing.assert_allclose(forward(blocks.flat), kron(s1, s2), atol=1e-9)
+    flat = tensor_params(p1, p2)
+    assert flat.dim == d1 * d2
+    np.testing.assert_allclose(forward(flat), kron(s1, s2), atol=1e-9)
 
 
 def _tensor_gammas(a, b, diag1=None, diag2=None):
@@ -342,8 +336,7 @@ def _tensor_gammas(a, b, diag1=None, diag2=None):
     l2 = np.ones(2) if diag2 is None else diag2
     p1 = SchurParams(2, l1, g1)
     p2 = SchurParams(2, l2, g2)
-    blocks = tensor_params(p1, cholesky_factor(p2), p2.diag ** 2)
-    return blocks.flat.gamma
+    return tensor_params(p1, p2).gamma
 
 
 def test_tensor_two_qubit_closed_forms():
@@ -379,8 +372,7 @@ def test_tensor_with_identity_spreads_parameters():
     g1[0, 1] = 0.3 + 0.4j
     p1 = SchurParams(2, np.ones(2), g1)
     p2 = SchurParams(2, np.ones(2), np.zeros((2, 2), dtype=complex))
-    blocks = tensor_params(p1, cholesky_factor(p2), np.ones(2))
-    g = blocks.flat.gamma
+    g = tensor_params(p1, p2).gamma
     assert abs(g[0, 2] - (0.3 + 0.4j)) < 1e-12
     assert abs(g[1, 3] - (0.3 + 0.4j)) < 1e-12
     for k, j in ((0, 1), (2, 3), (1, 2), (0, 3)):
@@ -391,8 +383,9 @@ def test_tensor_dimension_mismatch():
     rng = np.random.default_rng(20)
     p1 = _two_by_two(rng)
     p2 = _two_by_two(rng)
-    with pytest.raises(ValueError):
-        tensor_params(p1, cholesky_factor(p2), np.ones(3))
+    p2.diag = np.ones(3)  # three diagonal factors for a 2x2 matrix
+    with pytest.raises(ValueError, match="inconsistent shapes"):
+        tensor_params(p1, p2)
 
 
 # ---------------------------------------------------------------------------
