@@ -35,14 +35,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ConsistencyError, hermitize, maxnorm
+from .linalg import DEFAULT_TOL, ConsistencyError, maxnorm
 from .params import (
     SchurParams,
     _entry_step,
+    _extract,
     _logdet,
-    cholesky_factor,
+    _read_factor,
     defect,
-    inverse,
     is_psd_via_params,
 )
 
@@ -246,7 +246,7 @@ def is_unital(m: LinearMap) -> bool:
 
 def is_completely_positive(c: ChoiMatrix) -> bool:
     """Positivity of the Choi matrix, via parameter extraction."""
-    return is_psd_via_params(hermitize(c.s))
+    return is_psd_via_params(c.s)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,8 @@ def is_completely_positive(c: ChoiMatrix) -> bool:
 
 
 def kraus_from_choi(c: ChoiMatrix) -> KrausSet:
-    """Kraus generators from the parameter-driven Cholesky factor.
+    """Kraus generators from the parameter-driven Cholesky factor, read off
+    the lattice of the one extraction (no second pass over the bands).
 
     Row n of U = G diag(L), reshaped row-major to d_in x d_out, is a
     generator A_n with Phi(rho) = sum A_n* rho A_n; the returned set stores
@@ -269,14 +270,14 @@ def kraus_from_choi(c: ChoiMatrix) -> KrausSet:
 
 
 def _choi_params(c: ChoiMatrix):
-    """The one extraction that Kraus generators and capacity both read."""
-    s = hermitize(c.s)
-    return s, inverse(s)
+    """The one extraction that Kraus generators and capacity both read:
+    ``(S, params, lattice)``."""
+    return _extract(c.s)
 
 
-def _kraus_from_params(c, s, params) -> KrausSet:
+def _kraus_from_params(c, s, params, lat) -> KrausSet:
     scale = maxnorm(s)
-    u = cholesky_factor(params) * params.diag[None, :]
+    u = _read_factor(params, lat) * params.diag[None, :]
     check_tol = DEFAULT_TOL.abs_eps * max(1.0, scale)
     # Row u_n adds u_n* u_n, of max-norm max|u_n|^2, to A* A, so the rows
     # dropped here add at most check_tol together: the check cannot see them.

@@ -132,8 +132,8 @@ def cmd_channel(args) -> int:
             f"--dout {args.dout}")
     c = ChoiMatrix(args.din, args.dout, m)
     try:
-        s, params = _choi_params(c)  # NotPSDError -> exit 2
-        ks = _kraus_from_params(c, s, params)
+        s, params, lat = _choi_params(c)  # NotPSDError -> exit 2
+        ks = _kraus_from_params(c, s, params, lat)
     except ValueError as exc:
         if isinstance(exc, NotPSDError):
             raise

@@ -18,8 +18,9 @@ the published recursion's first step is always the identity rotation; the
 level index here absorbs that step.)
 
 Degenerate nodes follow the same conventions as the direct solve: a vanishing
-top-row ``u`` masks the parameter (value 0); a unit-modulus ratio requires the
-columns to be proportional (else the matrix is not PSD) and annihilates the
+top-row ``u`` masks the parameter (value 0); a ratio on the unit circle
+(clamped onto it, or of defect 0 after rounding) requires the columns to be
+proportional (else the matrix is not PSD) and annihilates the
 transformed generator, which is its exact limit.  The defined mask of the
 result is recomputed with the divisor rule of the direct solve so both routes
 agree on which parameters are genuine.
@@ -169,7 +170,7 @@ def displacement_inverse(
                                           entry=(k, j), band=m, value=float(mod))
                     gh /= mod
                     mod = 1.0
-                if mod == 1.0:
+                if mod == 1.0 or defect(gh) == 0.0:  # the transform would divide by 0
                     resid = maxnorm(g[:, 1] - gh * g[:, 0])
                     if resid > prop_tol:
                         raise NotPSDError("inconsistent boundary generator",

@@ -88,31 +88,36 @@ def maxnorm(m: np.ndarray) -> float:
     """Largest entry modulus; 0.0 for empty input."""
     if m.size == 0:
         return 0.0
-    return float(np.abs(m).max())
+    return float(np.maximum.reduce(np.abs(m), axis=None))
 
 
 def _as_square(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    if np.count_nonzero(np.isfinite(m)) < m.size:
         raise ValueError("matrix contains non-finite entries")
     return m.astype(np.complex128, copy=False)
+
+
+def _within_hermitian_slack(m: np.ndarray, mh: np.ndarray) -> bool:
+    """``max |m - mh| <= abs_eps + rel_eps * maxnorm(m)`` for ``mh = m*``."""
+    return maxnorm(m - mh) <= DEFAULT_TOL.abs_eps + DEFAULT_TOL.rel_eps * maxnorm(m)
 
 
 def is_hermitian(m: np.ndarray) -> bool:
     """True iff ``max |m - m*| <= abs_eps + rel_eps * maxnorm(m)``."""
     m = _as_square(m)
-    slack = DEFAULT_TOL.abs_eps + DEFAULT_TOL.rel_eps * maxnorm(m)
-    return maxnorm(m - m.conj().T) <= slack
+    return _within_hermitian_slack(m, m.conj().T)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Return the Hermitian average of ``m``, refusing non-Hermitian input."""
     m = _as_square(m)
-    if not is_hermitian(m):
+    mh = m.conj().T
+    if not _within_hermitian_slack(m, mh):
         raise ValueError("matrix is not Hermitian within tolerance")
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + mh)
 
 
 def reference_cholesky(m: np.ndarray) -> np.ndarray:

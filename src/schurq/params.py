@@ -28,6 +28,7 @@ depend on the convention value (its coefficient is the vanished divisor).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,6 +44,14 @@ __all__ = [
     "det_from_params",
     "is_psd_via_params",
 ]
+
+
+@functools.lru_cache(maxsize=16)
+def _lower(d: int) -> np.ndarray:
+    """Read-only mask of the lower triangle, diagonal included, of a (d, d) array."""
+    lower = np.tri(d, dtype=bool)
+    lower.flags.writeable = False
+    return lower
 
 
 def defect(g: np.ndarray | complex) -> np.ndarray | float:
@@ -78,18 +87,19 @@ class SchurParams:
         if self.diag.shape != (d,) or self.gamma.shape != (d, d) \
                 or self.defined.shape != (d, d):
             raise ValueError("inconsistent shapes in SchurParams")
-        if not (np.isfinite(self.diag).all() and np.isfinite(self.gamma).all()):
+        if np.count_nonzero(np.isfinite(self.diag)) < d \
+                or np.count_nonzero(np.isfinite(self.gamma)) < d * d:
             raise ValueError("non-finite entries in SchurParams")
-        if (self.diag < 0).any():
+        if np.count_nonzero(self.diag < 0):
             raise ValueError("diagonal factors must be nonnegative")
-        lower = np.tri(d, dtype=bool)
-        if self.gamma[lower].any():
+        lower = _lower(d)
+        if np.count_nonzero(self.gamma[lower]):
             raise ValueError("gamma must be strictly upper triangular")
-        if self.defined[lower].any():
+        if np.count_nonzero(self.defined & lower):
             raise ValueError("defined mask must be strictly upper triangular")
-        if (np.abs(self.gamma) > 1.0 + DEFAULT_TOL.abs_eps).any():
+        if np.count_nonzero(np.abs(self.gamma) > 1.0 + DEFAULT_TOL.abs_eps):
             raise ValueError("parameters must lie in the closed unit disc")
-        if self.gamma[~self.defined].any():
+        if np.count_nonzero(self.gamma[~self.defined]):
             raise ValueError("masked parameters must carry the convention value 0")
 
     def copy(self) -> "SchurParams":
@@ -140,18 +150,15 @@ def _entry_step(entry, known, ll, dprod, scale: float):
     ``(i, reason, value)`` for the first flat index proving a NotPSDError."""
     divisor = ll * dprod
     masked = _degenerate(divisor, scale)
-    if not masked.any():
-        val = (entry / ll - known) / dprod
-        if not (np.abs(val) > 1.0).any():
-            return val, masked, None
     with np.errstate(divide="ignore", invalid="ignore"):
         val = np.where(masked, 0.0, (entry / ll - known) / dprod)
     mod, resid = np.abs(val), np.abs(entry - ll * known)
     inconsistent = masked & (resid > DEFAULT_TOL.entry(scale) + divisor)
-    allowance = _disc_allowance(scale, divisor)
-    outside = (mod > 1.0) & (mod - 1.0 > allowance)
+    outside = mod > 1.0
+    if np.count_nonzero(outside):
+        outside &= mod - 1.0 > _disc_allowance(scale, divisor)
     bad = np.ravel(inconsistent | outside)
-    if not bad.any():
+    if not np.count_nonzero(bad):
         return val, masked, None
     i = int(np.argmax(bad))
     if np.ravel(inconsistent)[i]:
@@ -172,21 +179,26 @@ class _Lattice:
         self.lvec, self.f, self.g = lvec, rows, rows.copy()
         self.dl, self.dr = np.ones(lvec.shape[0]), np.ones(lvec.shape[0])
 
-    def divisor(self, b: int) -> tuple[np.ndarray, np.ndarray]:  # (L_k L_{k+b}, dprod)
-        return self.lvec[:-b] * self.lvec[b:], self.dl[:-b] * self.dr[b:]
+    def divisor(self, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(L_k L_{k+b}, dprod, divisor)`` of every window of band b."""
+        ll, dprod = self.lvec[:-b] * self.lvec[b:], self.dl[:-b] * self.dr[b:]
+        return ll, dprod, ll * dprod
 
-    def absorb(self, b: int, gam: np.ndarray, divisor: np.ndarray) -> None:
-        """Move every window of band b one step out, past its parameter.  A
-        window of zero divisor has a zero-variance residual: its rows stay."""
+    def absorb(self, b: int, gam: np.ndarray, dg: np.ndarray, divisor: np.ndarray) -> None:
+        """Move every window of band b one step out, past its parameter ``gam``
+        of defect ``dg``.  A window of zero divisor has a zero-variance
+        residual: its rows stay."""
         n = gam.shape[0]
-        dg, live = defect(gam), divisor > 0.0
         sl, sr = self.lvec[:n] * self.dl[:n], self.lvec[b:] * self.dr[b:]  # sd(f), sd(g)
-        if not live.all():
+        live = divisor > 0.0
+        if np.count_nonzero(live) < n:
             gam, sl, sr = np.where(live, gam, 0.0), np.where(live, sl, 1.0), \
                 np.where(live, sr, 1.0)
         cf, cg = gam * (sl / sr), np.conj(gam) * (sr / sl)
         f, g = self.f[:n], self.g[b:]
-        f[...], g[...] = f - cf[:, None] * g, g - cg[:, None] * f
+        f_out = f - cf[:, None] * g
+        g -= cg[:, None] * f
+        f[...] = f_out
         self.dl[:n] *= dg
         self.dr[b:] *= dg
 
@@ -204,13 +216,22 @@ def _synthesize(params: SchurParams) -> tuple[np.ndarray, _Lattice]:
     s = np.diag((lvec * lvec).astype(np.complex128))
     lat = _Lattice(lvec, np.eye(d, dtype=np.complex128))
     for b in range(1, d):
-        ll, dprod = lat.divisor(b)
+        _, _, divisor = lat.divisor(b)
         gam = params.gamma.diagonal(b)
         # f[k] . S[:, k+b] while S[k, k+b] is still 0: the projected part.
         known = np.einsum("ki,ik->k", lat.f[:d - b], s[:, b:])  # reads the upper part
-        _band_diagonal(s, b)[:] = gam * (ll * dprod) - known
-        lat.absorb(b, gam, ll * dprod)
+        _band_diagonal(s, b)[:] = gam * divisor - known
+        lat.absorb(b, gam, defect(gam), divisor)
     return s, lat
+
+
+def _factor(bs: np.ndarray, lvec: np.ndarray, dr: np.ndarray) -> np.ndarray:
+    """G of :func:`cholesky_factor` from ``(B S)[j, l]``, l >= j, of the final
+    lattice (coefficient rows B) and its column defect products ``dr``."""
+    scale = (lvec * dr)[:, None] * lvec
+    g = np.triu(np.divide(bs, scale, out=np.zeros_like(bs), where=scale > 0.0), 1)
+    _band_diagonal(g, 0)[:] = dr
+    return g
 
 
 def cholesky_factor(params: SchurParams) -> np.ndarray:
@@ -220,10 +241,7 @@ def cholesky_factor(params: SchurParams) -> np.ndarray:
     covariances of x_j's residual given x_0..x_{j-1} over its standard
     deviation and ``L_l``, or 0 where either vanishes (a zero pivot row)."""
     s, lat = _synthesize(params)  # (B S)[j, l] for l >= j reads only the upper part
-    scale = (params.diag * lat.dr)[:, None] * params.diag
-    g = np.triu(np.divide(lat.g @ s, scale, out=np.zeros_like(s), where=scale > 0.0), 1)
-    _band_diagonal(g, 0)[:] = lat.dr
-    return g
+    return _factor(lat.g @ s, params.diag, lat.dr)
 
 
 def forward(params: SchurParams) -> np.ndarray:
@@ -239,31 +257,60 @@ def inverse(s: np.ndarray) -> SchurParams:
     unit disc, or inconsistent degenerate entry) when ``s`` is not PSD, and
     ``ValueError`` when it is not Hermitian.
     """
+    return _extract(s)[1]
+
+
+def _extract(s: np.ndarray) -> tuple[np.ndarray, SchurParams, _Lattice]:
+    """:func:`inverse`, also returning the Hermitian average of ``s`` and the
+    ``[S | I]`` lattice with every band absorbed but the last."""
     s, lvec, scale = _preamble(s)
     d = s.shape[0]
-    gamma, defined = np.zeros((d, d), dtype=np.complex128), np.zeros((d, d), dtype=bool)
+    gamma, defined = np.zeros((d, d), dtype=np.complex128), ~_lower(d)
     lat = _Lattice(lvec, np.concatenate((s, np.eye(d, dtype=np.complex128)), axis=1))
+    cov_flat, gamma_flat = lat.f.reshape(-1), gamma.reshape(-1)
     for b in range(1, d):
-        ll, dprod = lat.divisor(b)
-        cov = _band_diagonal(lat.f, b)
-        val, masked, failure = _entry_step(cov, 0.0, ll, dprod, scale)
-        if failure is not None:
-            k, reason, value = failure
-            raise NotPSDError(reason, entry=(k, k + b), band=b, value=value)
-        if masked.any():  # go on from S minus the masked covariances
-            k, a = np.flatnonzero(masked), cov[masked]
-            for rows in (lat.f, lat.g):
-                rows[:, k + b] -= rows[:, d + k] * a
-                rows[:, k] -= rows[:, d + k + b] * np.conj(a)
-        mod = np.abs(val)
-        gam = np.divide(val, mod, out=val, where=mod > 1.0)  # clamp onto the circle
-        _band_diagonal(gamma, b)[:] = gam
-        _band_diagonal(defined, b)[:] = ~masked
+        ll, dprod, divisor = lat.divisor(b)
+        cov = cov_flat[b::2 * d + 1][:d - b]
+        # Plain division unless some entry needs _entry_step's mask, clamp or
+        # failure: the same floating-point operations, far fewer calls.
+        plain = not np.count_nonzero(_degenerate(divisor, scale))
+        if plain:
+            val = cov / ll / dprod
+            mod = np.abs(val)
+            plain = not np.count_nonzero(mod > 1.0)
+        if plain:
+            gam, dg = val, np.sqrt(1.0 - mod * mod)
+        else:
+            val, masked, failure = _entry_step(cov, 0.0, ll, dprod, scale)
+            if failure is not None:
+                k, reason, value = failure
+                raise NotPSDError(reason, entry=(k, k + b), band=b, value=value)
+            if np.count_nonzero(masked):  # go on from S minus the masked covariances
+                k, a = np.flatnonzero(masked), cov[masked]
+                for rows in (lat.f, lat.g):
+                    rows[:, k + b] -= rows[:, d + k] * a
+                    rows[:, k] -= rows[:, d + k + b] * np.conj(a)
+                defined[k, k + b] = False
+            mod = np.abs(val)
+            gam = np.divide(val, mod, out=val, where=mod > 1.0)  # clamp onto the circle
+            dg = defect(gam)
+        gamma_flat[b::d + 1][:d - b] = gam
         if b < d - 1:
-            lat.absorb(b, gam, ll * dprod)
+            lat.absorb(b, gam, dg, divisor)
     params = SchurParams(d, lvec, gamma, defined)
     params.validate()
-    return params
+    return s, params, lat
+
+
+def _read_factor(params: SchurParams, lat: _Lattice) -> np.ndarray:
+    """:func:`cholesky_factor` of ``params`` read off the lattice that
+    :func:`_extract` returned with them: absorbs the last band, then divides
+    ``(B S)`` as :func:`cholesky_factor` divides its synthesized one."""
+    d = params.dim
+    if d > 1:
+        gam = params.gamma[0, d - 1:]
+        lat.absorb(d - 1, gam, defect(gam), lat.divisor(d - 1)[2])
+    return _factor(lat.g[:, :d], params.diag, lat.dr)
 
 
 def _logdet(params: SchurParams) -> float:
@@ -275,9 +322,9 @@ def _logdet(params: SchurParams) -> float:
     """
     diag_terms = params.diag ** 2
     disc_terms = 1.0 - np.abs(params.gamma[params.defined]) ** 2
-    if np.any(diag_terms <= 0.0) or np.any(disc_terms <= CIRCLE_SNAP):
+    if np.count_nonzero(diag_terms <= 0.0) or np.count_nonzero(disc_terms <= CIRCLE_SNAP):
         return -math.inf
-    return float(np.sum(np.log(np.concatenate([diag_terms, disc_terms]))))
+    return float(np.add.reduce(np.log(np.concatenate((diag_terms, disc_terms)))))
 
 
 def det_from_params(params: SchurParams) -> float:

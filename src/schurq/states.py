@@ -36,6 +36,7 @@ Conventions worth knowing:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,13 +46,12 @@ from .linalg import (
     DEFAULT_TOL,
     ConsistencyError,
     NotPSDError,
-    _as_square,
     hermitize,
     kron,
     maxnorm,
     reference_eigenvalues,
 )
-from .params import SchurParams, _logdet, defect, forward, inverse, is_psd_via_params
+from .params import SchurParams, _logdet, forward, inverse, is_psd_via_params
 
 __all__ = [
     "HermBasis",
@@ -136,6 +136,16 @@ def build_basis(d: int) -> HermBasis:
     return HermBasis(d, tuple(elems))
 
 
+@functools.lru_cache(maxsize=16)
+def _off_diagonal(d: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Index arrays of the strict upper and strict lower triangle (read-only)."""
+    out = (np.triu_indices(d, 1), np.tril_indices(d, -1))
+    for idx in out:
+        for a in idx:
+            a.flags.writeable = False
+    return out
+
+
 def _coeffs_of(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(beta, gamma) coefficients of ``rho`` in the self-adjoint basis.
 
@@ -148,11 +158,10 @@ def _coeffs_of(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     beta = np.empty(d - 1)
     for m in range(2, d + 1):
         c = math.sqrt(2.0 / (m * (m - 1)))
-        beta[m - 2] = c * (np.sum(sdiag[: m - 1]) - (m - 1) * sdiag[m - 1]) / 2.0
+        beta[m - 2] = c * (np.add.reduce(sdiag[: m - 1]) - (m - 1) * sdiag[m - 1]) / 2.0
     gamma = np.zeros((d, d))
-    iu = np.triu_indices(d, 1)
+    iu, il = _off_diagonal(d)
     gamma[iu] = d * rho.real[iu]
-    il = np.tril_indices(d, -1)
     gamma[il] = d * rho.imag[il]
     return beta, gamma
 
@@ -165,7 +174,7 @@ def _rho_of(d: int, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
         sdiag[: m - 1] += c * beta[m - 2]
         sdiag[m - 1] += c * (1 - m) * beta[m - 2]
     s = np.diag(sdiag.astype(np.complex128))
-    iu = np.triu_indices(d, 1)
+    iu = _off_diagonal(d)[0]
     upper = gamma[iu] - 1.0j * gamma.T[iu]
     s[iu] = upper
     s.T[iu] = np.conj(upper)
@@ -199,7 +208,7 @@ def state_from_matrix(rho: np.ndarray) -> DensityState:
     :class:`~schurq.linalg.NotPSDError` (with the failing band) when the
     matrix is not PSD.
     """
-    m = hermitize(_as_square(rho))
+    m = hermitize(rho)
     d = m.shape[0]
     tr = float(m.trace().real)
     if abs(tr - 1.0) > DEFAULT_TOL.abs_eps:
@@ -456,12 +465,32 @@ def is_separable_ppt(state: DensityState,
     return SeparabilityVerdict(separable, "ppt", witness)
 
 
-def _grid_points(angles: int, radii: int) -> np.ndarray:
-    """Polar grid over the closed unit disc (origin included once)."""
+# First-level polar grid of the parameter separability search, and how many
+# times it is refined (doubling both counts) on failure.
+_GRID_ANGLES = 64
+_GRID_RADII = 32
+_GRID_REFINE = 1
+
+
+@functools.cache
+def _grid_points(level: int) -> np.ndarray:
+    """Polar grid over the closed unit disc (origin included once) of
+    refinement ``level`` (read-only)."""
+    angles, radii = _GRID_ANGLES * 2 ** level, _GRID_RADII * 2 ** level
     r = np.linspace(0.0, 1.0, radii)[1:]
     th = 2.0 * np.pi * np.arange(angles) / angles
     z = (r[:, None] * np.exp(1.0j * th)[None, :]).ravel()
-    return np.concatenate([[0.0 + 0.0j], z])
+    grid = np.concatenate([[0.0 + 0.0j], z])
+    grid.flags.writeable = False
+    return grid
+
+
+def _defects(zs: list[complex]) -> list[float]:
+    """:func:`~schurq.params.defect` of each number as numpy computes it on a
+    scalar: numpy's complex modulus (not libm ``hypot``, which ``abs``
+    calls), then ``pow(mod, 2)`` (numpy arrays square instead)."""
+    mods = np.abs(np.array(zs, dtype=np.complex128)).tolist()
+    return [math.sqrt(max(1.0 - mod ** 2, 0.0)) for mod in mods]
 
 
 def _disc_candidates(target: complex, coeff: float, grid: np.ndarray,
@@ -475,20 +504,14 @@ def _disc_candidates(target: complex, coeff: float, grid: np.ndarray,
     """
     out: list[complex] = []
     if coeff > ftol:
-        forced = target / coeff
+        # numpy divides a complex by a real as a product with its reciprocal.
+        forced = target * (1.0 / coeff)
         mod = abs(forced)
-        out.append(forced / mod if mod > 1.0 else forced)
+        out.append(forced * (1.0 / mod) if mod > 1.0 else forced)
     out.append(0.0 + 0.0j)
     ok = grid[np.abs(target - coeff * grid) <= ftol]
     out.extend(ok[:cap].tolist())
     return out
-
-
-# First-level polar grid of the parameter separability search, and how many
-# times it is refined (doubling both counts) on failure.
-_GRID_ANGLES = 64
-_GRID_RADII = 32
-_GRID_REFINE = 1
 
 
 def is_separable_params(state: DensityState) -> SeparabilityVerdict:
@@ -513,58 +536,57 @@ def is_separable_params(state: DensityState) -> SeparabilityVerdict:
     """
     if state.dim != 4:
         raise ValueError("parameter separability test requires a 2x2 system")
+    # The search is scalar: Python numbers, no numpy dispatch per operation.
     rho = state.rho
-    g = state.params.gamma
-    g12, g13, g14 = g[0, 1], g[0, 2], g[0, 3]
-    g23, g24, g34 = g[1, 2], g[1, 3], g[2, 3]
-    d12, d13, d23 = defect(g12), defect(g13), defect(g23)
-    d24, d34 = defect(g24), defect(g34)
-    r = rho.diagonal().real
+    g12, g13, g14, g23, g24, g34 = state.params.gamma[_off_diagonal(4)[0]].tolist()
+    d12, d13, d23, d24, d34 = _defects([g12, g13, g23, g24, g34])
+    r = rho.diagonal().real.tolist()
     a = math.sqrt(max(r[0] * r[3], 0.0))
     b = math.sqrt(max(r[1] * r[2], 0.0))
     s13 = math.sqrt(max(r[0] * r[2], 0.0))
     s24 = math.sqrt(max(r[1] * r[3], 0.0))
-    rho13, rho14 = rho[0, 2], rho[0, 3]
-    rho23, rho24 = rho[1, 2], rho[1, 3]
+    rho13, rho14 = complex(rho[0, 2]), complex(rho[0, 3])
+    rho23, rho24 = complex(rho[1, 2]), complex(rho[1, 3])
+    c12, c23, c34 = g12.conjugate(), g23.conjugate(), g34.conjugate()
     ftol = 10.0 * DEFAULT_TOL.entry(1.0)
 
     four_terms = (g12 * g23 * g34 + d12 * g13 * d23 * g34
                   + g12 * d23 * g24 * d34
-                  - d12 * g13 * np.conj(g23) * g24 * d34)
+                  - d12 * g13 * c23 * g24 * d34)
     first_margin = b + a * d12 * d13 * d24 * d34 - a * abs(four_terms)
 
-    def feasible(h14: complex, h13: complex, h24: complex) -> bool:
-        q14 = defect(h14)
-        q13 = defect(h13)
-        q24 = defect(h24)
+    def feasible(h14: complex, q14: float, h13: complex, q13: float,
+                 h24: complex, q24: float) -> bool:
+        """The system at one point, given the defects ``q`` of its ``h``."""
         if abs(rho14 - b * h14) > ftol:
             return False
-        if abs(rho13 - s13 * (np.conj(g12) * h14 + d12 * q14 * h13)) > ftol:
+        if abs(rho13 - s13 * (c12 * h14 + d12 * q14 * h13)) > ftol:
             return False
-        if abs(rho24 - s24 * (h14 * np.conj(g34) + q14 * h24 * d34)) > ftol:
+        if abs(rho24 - s24 * (h14 * c34 + q14 * h24 * d34)) > ftol:
             return False
-        bracket = (np.conj(g12) * h14 * np.conj(g34)
-                   + d12 * h13 * q14 * np.conj(g34)
-                   + np.conj(g12) * q14 * h24 * d34
-                   - d12 * h13 * np.conj(h14) * h24 * d34)
+        bracket = (c12 * h14 * c34
+                   + d12 * h13 * q14 * c34
+                   + c12 * q14 * h24 * d34
+                   - d12 * h13 * h14.conjugate() * h24 * d34)
         if abs(rho23 - a * bracket) > a * d12 * q13 * q24 * d34 + ftol:
             return False
-        if abs(g12 * g23 - np.conj(g12) * h14) > d12 * (d23 + q14) + ftol:
+        if abs(g12 * g23 - c12 * h14) > d12 * (d23 + q14) + ftol:
             return False
-        if abs(g34 * g23 - np.conj(g34) * h14) > d34 * (d23 + q14) + ftol:
+        if abs(g34 * g23 - c34 * h14) > d34 * (d23 + q14) + ftol:
             return False
         return a * abs(bracket) <= b + a * d12 * q13 * q24 * d34 + ftol
 
     def search(grid: np.ndarray) -> tuple[complex, complex, complex] | None:
-        for h14 in _disc_candidates(rho14, b, grid, ftol, cap=12):
-            q14 = defect(h14)
-            c13 = _disc_candidates(rho13 - s13 * np.conj(g12) * h14,
+        c14 = _disc_candidates(rho14, b, grid, ftol, cap=12)
+        for h14, q14 in zip(c14, _defects(c14)):
+            c13 = _disc_candidates(rho13 - s13 * c12 * h14,
                                    s13 * d12 * q14, grid, ftol, cap=8)
-            c24 = _disc_candidates(rho24 - s24 * h14 * np.conj(g34),
+            c24 = _disc_candidates(rho24 - s24 * h14 * c34,
                                    s24 * q14 * d34, grid, ftol, cap=8)
-            for h13 in c13:
-                for h24 in c24:
-                    if feasible(h14, h13, h24):
+            q13s, q24s = _defects(c13), _defects(c24)
+            for h13, q13 in zip(c13, q13s):
+                for h24, q24 in zip(c24, q24s):
+                    if feasible(h14, q14, h13, q13, h24, q24):
                         return h14, h13, h24
         return None
 
@@ -576,8 +598,7 @@ def is_separable_params(state: DensityState) -> SeparabilityVerdict:
     else:
         point = None
         for level in range(_GRID_REFINE + 1):
-            point = search(_grid_points(_GRID_ANGLES * 2 ** level,
-                                        _GRID_RADII * 2 ** level))
+            point = search(_grid_points(level))
             if point is not None:
                 break
         if point is not None:

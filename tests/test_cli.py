@@ -279,21 +279,30 @@ def test_channel_identity_single_kraus_file(tmp_path, capsys):
 
 
 def test_channel_extracts_once(tmp_path, capsys, monkeypatch):
-    """Kraus files and capacity come from one extraction of the Choi matrix."""
+    """Kraus files and capacity come from one extraction of the Choi matrix,
+    and the factor is read off its lattice: no second pass over the bands."""
     import schurq.channels as channels
+    import schurq.cli as cli
+    import schurq.params as params
 
-    calls = []
-    extract = channels.inverse
+    calls = {"extract": 0, "cholesky_factor": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return extract(*args, **kwargs)
+    def counted(module, name):
+        wrapped = getattr(module, name)
 
-    monkeypatch.setattr(channels, "inverse", counted)
+        def call(*args, **kwargs):
+            calls[name.lstrip("_")] += 1
+            return wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(channels, "_extract")
+    counted(params, "cholesky_factor")
+    counted(cli, "cholesky_factor")
     assert main(["channel", "--choi", str(GOLDEN / "depol_choi.json"),
                  "--din", "2", "--dout", "2",
                  "--kraus", str(tmp_path / "k"), "--capacity"]) == 0
-    assert len(calls) == 1
+    assert calls == {"extract": 1, "cholesky_factor": 0}
     assert capsys.readouterr().out == (GOLDEN / "depol_capacity.json").read_text()
     ks = kraus_from_choi(ChoiMatrix(2, 2, _read_matrix(GOLDEN / "depol_choi.json")))
     files = sorted(tmp_path.glob("k_*.json"))

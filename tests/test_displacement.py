@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -54,6 +57,25 @@ def test_masks_agree_on_degenerate_input():
     s = forward(SchurParams(4, np.array([1.0, 2.0, 1.0, 0.5]), gamma, mask))
     p1, p2 = inverse(s), displacement_inverse(s)
     assert np.array_equal(p1.defined, p2.defined)
+
+
+def test_rank_one_nodes_on_the_circle():
+    """Rank-one v v*: a ratio of modulus just below 1 whose defect rounds to 0
+    is a degenerate node, not a division by zero (which used to show as
+    RuntimeWarnings and a 'generator signature violated' rejection at -inf)."""
+    rng = np.random.default_rng(7)
+    accepted = 0
+    for d in range(2, 10):
+        for _ in range(25):
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    displacement_inverse(np.outer(v, v.conj()))
+                    accepted += 1
+                except NotPSDError as exc:
+                    assert exc.value != -math.inf, str(exc)
+    assert accepted >= 177
 
 
 def test_rejects_indefinite():

@@ -4,6 +4,7 @@ import pytest
 from schurq.linalg import (
     NotPSDError,
     Tolerance,
+    hermitize,
     is_hermitian,
     kron,
     maxnorm,
@@ -27,6 +28,26 @@ def test_is_hermitian_rejects_nonsquare():
 def test_is_hermitian_rejects_nonfinite():
     with pytest.raises(ValueError):
         is_hermitian(np.array([[np.nan, 0], [0, 1]]))
+
+
+def test_hermitize_messages():
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        hermitize(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(4,\)$"):
+        hermitize(np.zeros(4))
+    with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+        hermitize(np.array([[1.0, np.inf], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="^matrix is not Hermitian within tolerance$"):
+        hermitize(np.array([[1.0, 1e-6], [0.0, 1.0]]))
+
+
+def test_hermitize_averages_within_tolerance():
+    m = np.array([[2.0, 1.0 + 1e-11j], [1.0, 3.0]])
+    assert is_hermitian(m)
+    h = hermitize(m)
+    assert h.dtype == np.complex128
+    np.testing.assert_array_equal(h, 0.5 * (m + m.conj().T))
+    np.testing.assert_array_equal(hermitize(h), h)  # exact on Hermitian input
 
 
 def test_reference_cholesky_hand_case():

@@ -335,15 +335,56 @@ def test_is_psd_agrees_with_eigen_oracle():
         assert is_psd_via_params(s) == oracle
 
 
+def _bad_params(diag=(1.0, 1.0, 1.0), **entries) -> SchurParams:
+    """3x3 parameters, valid unless changed: ``g01=0.5`` sets gamma[0, 1],
+    ``m01=True`` sets defined[0, 1], ``n01=False`` clears it."""
+    gamma = np.zeros((3, 3), dtype=complex)
+    defined = np.triu(np.ones((3, 3), dtype=bool), 1)
+    for key, value in entries.items():
+        target = gamma if key[0] == "g" else defined
+        target[int(key[1]), int(key[2])] = value
+    return SchurParams(3, np.array(diag), gamma, defined)
+
+
+_VALIDATE_MESSAGES = {
+    "shape": "inconsistent shapes in SchurParams",
+    "finite": "non-finite entries in SchurParams",
+    "diag": "diagonal factors must be nonnegative",
+    "lower gamma": "gamma must be strictly upper triangular",
+    "lower defined": "defined mask must be strictly upper triangular",
+    "disc": "parameters must lie in the closed unit disc",
+    "masked": "masked parameters must carry the convention value 0",
+}
+
+
 def test_validate_rejects_bad_params():
-    with pytest.raises(ValueError):
-        SchurParams(2, np.array([1.0, -1.0]),
-                    np.zeros((2, 2), dtype=complex)).validate()
-    gamma = np.zeros((2, 2), dtype=complex)
-    gamma[0, 1] = 1.5
-    with pytest.raises(ValueError):
-        SchurParams(2, np.ones(2), gamma).validate()
-    gamma = np.zeros((2, 2), dtype=complex)
-    gamma[1, 0] = 0.5
-    with pytest.raises(ValueError):
-        SchurParams(2, np.ones(2), gamma).validate()
+    """Each of the seven checks rejects with its own message."""
+    cases = {
+        "shape": SchurParams(3, np.ones(2), np.zeros((3, 3), dtype=complex)),
+        "finite": _bad_params(g01=np.nan),
+        "diag": _bad_params(diag=(1.0, -1.0, 1.0)),
+        "lower gamma": _bad_params(g10=0.5),
+        "lower defined": _bad_params(m21=True),
+        "disc": _bad_params(g02=1.5),
+        "masked": _bad_params(g12=0.5, n12=False),
+    }
+    for name, params in cases.items():
+        with pytest.raises(ValueError, match=f"^{_VALIDATE_MESSAGES[name]}$"):
+            params.validate()
+    _bad_params(g01=1.0 + 0.5e-10, g12=-0.3j).validate()  # inside the allowance
+
+
+def test_validate_check_order():
+    """When two checks fail, the one listed first in ``validate`` reports."""
+    cases = [
+        ("shape", SchurParams(3, np.array([np.nan, 1.0]),
+                              np.zeros((3, 3), dtype=complex))),
+        ("finite", _bad_params(diag=(np.inf, -1.0, 1.0))),
+        ("diag", _bad_params(diag=(1.0, 1.0, -2.0), g20=0.5)),
+        ("lower gamma", _bad_params(g21=0.5, m10=True)),
+        ("lower defined", _bad_params(m20=True, g01=2.0)),
+        ("disc", _bad_params(g01=2.0, n01=False)),
+    ]
+    for name, params in cases:
+        with pytest.raises(ValueError, match=f"^{_VALIDATE_MESSAGES[name]}$"):
+            params.validate()
