@@ -43,9 +43,7 @@ from .params import (
 )
 from .states import (
     DensityState,
-    HermBasis,
     bell_state,
-    build_basis,
     entropy_E,
     entropy_E0,
     is_pure,

@@ -388,8 +388,8 @@ def qubit_nf_map(nf: QubitChannelNF) -> LinearMap:
 def qubit_nf_choi(nf: QubitChannelNF) -> tuple[ChoiMatrix, ChoiMatrix]:
     """Closed-form Choi matrices of the normal form and of its adjoint.
 
-    Both are cross-checked against :func:`choi_from_map` of the tabulated
-    Pauli action; a mismatch raises :class:`ConsistencyError`.
+    They equal :func:`choi_from_map` of :func:`qubit_nf_map` and of its
+    :func:`adjoint`; the tests check that.
     """
     t, lam = _nf_vectors(nf)
     t1, t2, t3 = t
@@ -407,12 +407,6 @@ def qubit_nf_choi(nf: QubitChannelNF) -> tuple[ChoiMatrix, ChoiMatrix]:
         [a, l1 - l2, 1 - t3 - l3, 0.0],
         [l1 + l2, a, 0.0, 1 - t3 + l3],
     ], dtype=np.complex128)
-    m = qubit_nf_map(nf)
-    check = max(maxnorm(choi_from_map(m).s - s_phi),
-                maxnorm(choi_from_map(adjoint(m)).s - s_hat))
-    if check > 1e-12 * (1.0 + maxnorm(s_phi)):
-        raise ConsistencyError(
-            f"closed-form Choi matrices disagree with the tabulated action: {check:.3e}")
     return ChoiMatrix(2, 2, s_phi), ChoiMatrix(2, 2, s_hat)
 
 

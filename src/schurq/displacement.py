@@ -28,33 +28,12 @@ agree on which parameters are genuine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import DEFAULT_TOL, NotPSDError, maxnorm
 from .params import SchurParams, _degenerate, _disc_allowance, _preamble, defect, forward
 
-__all__ = ["GeneratorState", "displacement_inverse"]
-
-
-@dataclass(frozen=True)
-class GeneratorState:
-    """Snapshot of one node of the generator recursion.
-
-    ``generator`` holds the two columns (u | v); ``signature`` is the J
-    diagonal; ``d_top`` = |u0|^2 - |v0|^2 must stay >= -tolerance at every
-    accepted node.  At shifted time 0 the node also yields one column of the
-    running Cholesky factor of the unit-scaled matrix: G J g0* / sqrt(d_top),
-    or zeros at a (numerically) zero pivot.
-    """
-
-    step: int
-    time: int
-    generator: np.ndarray
-    d_top: float
-    signature: tuple[int, int] = (1, -1)
-    cholesky_column: np.ndarray | None = None
+__all__ = ["displacement_inverse"]
 
 
 def _initial_generators(s1: np.ndarray) -> list[np.ndarray]:
@@ -82,17 +61,7 @@ def _theta_transform(g: np.ndarray, gamma_hat: complex, degenerate: bool) -> np.
     return out
 
 
-def _cholesky_column(g: np.ndarray, d_top: float, piv_eps: float) -> np.ndarray:
-    if d_top <= piv_eps:
-        return np.zeros(g.shape[0])
-    col = g[:, 0] * np.conj(g[0, 0]) - g[:, 1] * np.conj(g[0, 1])
-    return col / np.sqrt(d_top)
-
-
-def displacement_inverse(
-    s: np.ndarray,
-    collect_states: bool = False,
-) -> SchurParams | tuple[SchurParams, list[GeneratorState]]:
+def displacement_inverse(s: np.ndarray) -> SchurParams:
     """Extract Schur parameters via the generator recursion.
 
     Agrees with :func:`schurq.params.inverse` (tested to 1e-9 entrywise); the
@@ -100,11 +69,6 @@ def displacement_inverse(
     (non-PSD) input raises :class:`NotPSDError` on this route too, either at
     a signature violation (``d_top`` below minus the entry slack of the
     unit-diagonal scaling) or at the final check.
-
-    With ``collect_states=True`` returns ``(params, states)`` where ``states``
-    contains every recursion node, including the running Cholesky columns at
-    shifted time 0 (assembled, they give the conjugate transpose of the unit
-    factor of :func:`schurq.params.cholesky_factor` for nonsingular input).
     """
     s, lvec, scale = _preamble(s)
     d = s.shape[0]
@@ -129,14 +93,6 @@ def displacement_inverse(
     gens = _initial_generators(s1)
     gammas = [0.0 + 0.0j] * d
     degen = [False] * d
-    states: list[GeneratorState] = []
-    if collect_states:
-        for tau, g in enumerate(gens):
-            dt = float(abs(g[0, 0]) ** 2 - abs(g[0, 1]) ** 2)
-            col = _cholesky_column(g, dt, d_tol) if tau == 0 else None
-            states.append(GeneratorState(step=0, time=-tau, generator=g.copy(),
-                                         d_top=dt, cholesky_column=col))
-
     gamma = np.zeros((d, d), dtype=np.complex128)
 
     for m in range(1, d):
@@ -180,10 +136,6 @@ def displacement_inverse(
             new_gens.append(g)
             new_gammas.append(gh)
             new_degen.append(dgn)
-            if collect_states:
-                col = _cholesky_column(g, d_top, d_tol) if tau == 0 else None
-                states.append(GeneratorState(step=m, time=-tau, generator=g.copy(),
-                                             d_top=d_top, cholesky_column=col))
         gens, gammas, degen = new_gens, new_gammas, new_degen
 
     # Reconcile the defined mask with the divisor rule of the direct solve;
@@ -206,6 +158,4 @@ def displacement_inverse(
     if err > 50.0 * d * entry_tol:
         raise NotPSDError("reconstruction mismatch after extraction",
                           value=float(err))
-    if collect_states:
-        return params, states
     return params

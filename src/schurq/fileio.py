@@ -121,6 +121,7 @@ def params_to_obj(p: SchurParams) -> dict:
 
 
 def params_from_obj(obj: dict) -> SchurParams:
+    """Parse a ParamsFile; its values must pass :meth:`SchurParams.validate`."""
     try:
         d = int(obj["dim"])
         diag = obj["diag"]
@@ -131,9 +132,10 @@ def params_from_obj(obj: dict) -> SchurParams:
         raise ValueError("dim must be positive")
     if not isinstance(diag, list) or len(diag) != d:
         raise ValueError(f"diag must have {d} entries")
-    dvec = np.array([float(x) for x in diag], dtype=float)
-    if np.any(~np.isfinite(dvec)) or np.any(dvec < 0):
-        raise ValueError("diag entries must be finite and nonnegative")
+    try:
+        dvec = np.array([float(x) for x in diag], dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"malformed diag entry: {exc}") from exc
     expected = d * (d - 1) // 2
     if not isinstance(entries, list) or len(entries) != expected:
         raise ValueError(f"gamma must list all {expected} upper pairs")
@@ -153,12 +155,8 @@ def params_from_obj(obj: dict) -> SchurParams:
         if (k, j) in seen:
             raise ValueError(f"duplicate gamma entry ({k}, {j})")
         seen.add((k, j))
-        if not np.isfinite(val.real) or not np.isfinite(val.imag):
-            raise ValueError(f"gamma ({k}, {j}) is not finite")
-        if abs(val) > 1.0 + 1e-12:
-            raise ValueError(f"gamma ({k}, {j}) has modulus {abs(val):.6g} > 1")
-        if not flag and val != 0:
-            raise ValueError(f"gamma ({k}, {j}) is undefined but nonzero")
         gamma[k - 1, j - 1] = val
         defined[k - 1, j - 1] = flag
-    return SchurParams(d, dvec, gamma, defined)
+    params = SchurParams(d, dvec, gamma, defined)
+    params.validate()
+    return params

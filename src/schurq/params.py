@@ -102,10 +102,6 @@ class SchurParams:
         if np.count_nonzero(self.gamma[~self.defined]):
             raise ValueError("masked parameters must carry the convention value 0")
 
-    def copy(self) -> "SchurParams":
-        return SchurParams(self.dim, self.diag.copy(), self.gamma.copy(),
-                           self.defined.copy())
-
 
 def _degenerate(divisor: float | np.ndarray, scale: float) -> bool | np.ndarray:
     """The divisor rule, at input max-norm ``scale``: the entry carries no

@@ -7,7 +7,13 @@ entries, two further coordinate systems are used here:
   of the identity, d - 1 traceless diagonal matrices ``h_2 .. h_d`` and
   d(d-1) off-diagonal pair matrices ``f_kj``:
 
-      rho = (1/d) (I + sum_l beta_l h_l + sum_{k != j} gamma_kj f_kj);
+      rho = (1/d) (I + sum_l beta_l h_l + sum_{k != j} gamma_kj f_kj)
+
+  where ``h_m`` has m - 1 leading diagonal ones followed by ``1 - m``,
+  scaled by sqrt(2/(m(m-1))), and ``f_kj`` is ``E_kj + E_jk`` for k < j
+  and ``i E_kj - i E_jk`` for k > j (the Pauli matrices for d = 2, the
+  Gell-Mann family for d = 3).  The coefficients are read off and
+  assembled in closed form; the basis matrices are never built;
 
 * the contraction parameters of the scaled matrix ``d * rho`` (whose
   diagonal is ``1 +`` the diagonal part of the expansion and whose upper
@@ -45,7 +51,6 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     ConsistencyError,
-    NotPSDError,
     hermitize,
     kron,
     maxnorm,
@@ -54,11 +59,9 @@ from .linalg import (
 from .params import SchurParams, _logdet, forward, inverse, is_psd_via_params
 
 __all__ = [
-    "HermBasis",
     "DensityState",
     "SeparabilityVerdict",
     "ConsistencyError",
-    "build_basis",
     "state_from_matrix",
     "state_from_coeffs",
     "is_pure",
@@ -75,65 +78,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Self-adjoint basis
-
-
-@dataclass(frozen=True)
-class HermBasis:
-    """Orthogonal self-adjoint basis {h_1=I, h_2..h_d, f_kj (k != j)}.
-
-    ``elements`` lists all d^2 matrices: first ``h_1 .. h_d``, then for
-    each pair k < j (row-major) the symmetric ``f_kj`` followed by the
-    antisymmetric ``f_jk``.  ``h`` and ``f`` index with the 1-based
-    labels of the construction.
-    """
-
-    dim: int
-    elements: tuple[np.ndarray, ...]
-
-    def h(self, l: int) -> np.ndarray:
-        if not 1 <= l <= self.dim:
-            raise IndexError(f"h index {l} out of range 1..{self.dim}")
-        return self.elements[l - 1]
-
-    def f(self, k: int, j: int) -> np.ndarray:
-        d = self.dim
-        if k == j or not (1 <= k <= d and 1 <= j <= d):
-            raise IndexError(f"f index ({k}, {j}) invalid for dim {d}")
-        lo, hi = min(k, j), max(k, j)
-        pair = (lo - 1) * (2 * d - lo) // 2 + (hi - lo - 1)
-        return self.elements[d + 2 * pair + (0 if k < j else 1)]
-
-
-def build_basis(d: int) -> HermBasis:
-    """Construct the self-adjoint basis for dimension ``d`` (>= 2).
-
-    ``h_1`` is the identity; for m >= 2, ``h_m`` has m-1 leading diagonal
-    ones followed by ``1 - m``, scaled by sqrt(2/(m(m-1))); ``f_kj`` with
-    k < j is the real pair matrix ``E_kj + E_jk`` and with k > j the
-    imaginary one ``i E_kj - i E_jk``.  For d = 2 this is {I, sigma_1,
-    sigma_2, sigma_3}; for d = 3 the Gell-Mann family.
-    """
-    if d < 2:
-        raise ValueError("basis construction needs dimension >= 2")
-    elems: list[np.ndarray] = [np.eye(d, dtype=np.complex128)]
-    for m in range(2, d + 1):
-        h = np.zeros((d, d), dtype=np.complex128)
-        c = math.sqrt(2.0 / (m * (m - 1)))
-        for t in range(m - 1):
-            h[t, t] = c
-        h[m - 1, m - 1] = c * (1 - m)
-        elems.append(h)
-    for k in range(1, d + 1):
-        for j in range(k + 1, d + 1):
-            sym = np.zeros((d, d), dtype=np.complex128)
-            sym[k - 1, j - 1] = sym[j - 1, k - 1] = 1.0
-            anti = np.zeros((d, d), dtype=np.complex128)
-            anti[k - 1, j - 1] = -1.0j
-            anti[j - 1, k - 1] = 1.0j
-            elems.append(sym)
-            elems.append(anti)
-    return HermBasis(d, tuple(elems))
+# Basis coefficients
 
 
 @functools.lru_cache(maxsize=16)
@@ -218,59 +163,13 @@ def state_from_matrix(rho: np.ndarray) -> DensityState:
     return DensityState(d, m, beta, gamma, params)
 
 
-# Positivity margins below this size are "too close to call" for the
-# dedicated d=2 / d=3 inequality systems; the generic band test decides.
-_FAST_PATH_SLACK = 1e-6
-
-
-def _cylinder_margin(beta: np.ndarray, gamma: np.ndarray) -> float:
-    """d=2 positivity margin: (1 - beta3^2) - (gamma12^2 + gamma21^2).
-
-    Nonnegative exactly when the coefficient vector lies in the solid
-    cylinder |beta3| <= 1, gamma12^2 + gamma21^2 <= 1 - beta3^2.
-    """
-    b3 = float(beta[0])
-    return (1.0 - b3 * b3) - (gamma[0, 1] ** 2 + gamma[1, 0] ** 2)
-
-
-def _gell_mann_margin(beta: np.ndarray, gamma: np.ndarray) -> float | None:
-    """d=3 positivity margin from the explicit inequality system.
-
-    Division-free rearrangement with D_k = 3*rho_kk and x_kj the scaled
-    upper entries: the three diagonal conditions, the two consecutive
-    band conditions D_k D_{k+1} >= |x_{k,k+1}|^2, and the long-band
-    condition |D_2 x13 - x12 x23| <= sqrt((D1 D2 - |x12|^2)(D2 D3 -
-    |x23|^2)) (for D_2 > 0; for D_2 = 0 it degenerates to |x13| <=
-    sqrt(D1 D3)).  Returns None when the D_2 branch is too close to
-    call.
-    """
-    b2, b3 = float(beta[0]), float(beta[1])
-    d1 = 1.0 + b2 + b3 / math.sqrt(3.0)
-    d2 = 1.0 - b2 + b3 / math.sqrt(3.0)
-    d3 = 1.0 - 2.0 * b3 / math.sqrt(3.0)
-    x12 = gamma[0, 1] - 1.0j * gamma[1, 0]
-    x23 = gamma[1, 2] - 1.0j * gamma[2, 1]
-    x13 = gamma[0, 2] - 1.0j * gamma[2, 0]
-    m12 = d1 * d2 - abs(x12) ** 2
-    m23 = d2 * d3 - abs(x23) ** 2
-    margin = min(d1, d2, d3, m12, m23)
-    if margin < 0.0:
-        return margin
-    if d2 > _FAST_PATH_SLACK:
-        m13 = math.sqrt(m12 * m23) - abs(d2 * x13 - x12 * x23)
-    elif d2 == 0.0:
-        m13 = math.sqrt(d1 * d3) - abs(x13)
-    else:
-        return None
-    return min(margin, m13)
-
-
 def state_from_coeffs(d: int, beta: np.ndarray, gamma: np.ndarray) -> DensityState:
     """Build a state from basis coefficients, checking positivity.
 
-    The PSD decision is always made by the generic band test; for d = 2
-    and d = 3 the dedicated inequality systems are evaluated as well and
-    a decisive disagreement raises :class:`ConsistencyError`.
+    The PSD decision is the band test of :func:`state_from_matrix`, which
+    raises :class:`~schurq.linalg.NotPSDError` with the failing band.  For
+    d = 2 and d = 3 it agrees with the paper's explicit conditions (the
+    cylinder and the Gell-Mann inequalities); the tests check that.
     """
     beta = np.asarray(beta, dtype=np.float64)
     gamma = np.asarray(gamma, dtype=np.float64)
@@ -280,27 +179,9 @@ def state_from_coeffs(d: int, beta: np.ndarray, gamma: np.ndarray) -> DensitySta
         raise ValueError(f"gamma must have shape ({d}, {d})")
     if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(gamma))):
         raise ValueError("non-finite coefficients")
-    if np.any(np.abs(np.diagonal(gamma)) > 1e-12):
+    if np.any(np.abs(np.diagonal(gamma)) > DEFAULT_TOL.abs_eps):
         raise ValueError("gamma has no diagonal degrees of freedom")
-    rho = _rho_of(d, beta, gamma)
-    fast: float | None = None
-    if d == 2:
-        fast = _cylinder_margin(beta, gamma)
-    elif d == 3:
-        fast = _gell_mann_margin(beta, gamma)
-    try:
-        state = state_from_matrix(rho)
-    except NotPSDError:
-        if fast is not None and fast > _FAST_PATH_SLACK:
-            raise ConsistencyError(
-                "inequality system accepts (margin %.3e) but band test "
-                "rejects" % fast) from None
-        raise
-    if fast is not None and fast < -_FAST_PATH_SLACK:
-        raise ConsistencyError(
-            "inequality system rejects (margin %.3e) but band test "
-            "accepts" % fast)
-    return state
+    return state_from_matrix(_rho_of(d, beta, gamma))
 
 
 # ---------------------------------------------------------------------------

@@ -372,14 +372,21 @@ def test_qubit_nf_choi_special_points():
 
 
 def test_qubit_nf_choi_pair_is_map_and_adjoint():
+    """The closed forms equal the Choi matrices of the tabulated Pauli action
+    and of its adjoint."""
     rng = np.random.default_rng(46)
-    nf = QubitChannelNF(t=rng.uniform(-1, 1, 3), lam=rng.uniform(-1, 1, 3))
-    c_phi, c_hat = qubit_nf_choi(nf)
-    m = qubit_nf_map(nf)
-    assert maxnorm(c_phi.s - choi_from_map(m).s) <= 1e-14
-    assert maxnorm(c_hat.s - choi_from_map(adjoint(m)).s) <= 1e-14
-    assert maxnorm(c_phi.s - c_phi.s.conj().T) == 0.0
-    assert maxnorm(c_hat.s - c_hat.s.conj().T) == 0.0
+    draws = [QubitChannelNF(t=rng.uniform(-1, 1, 3), lam=rng.uniform(-1, 1, 3))
+             for _ in range(500)]
+    special = [QubitChannelNF(t=np.zeros(3), lam=np.zeros(3)),
+               QubitChannelNF(t=np.zeros(3), lam=np.ones(3)),
+               QubitChannelNF(t=np.array([0.0, 0.0, 1.0]), lam=np.zeros(3))]
+    for nf in draws + special:
+        c_phi, c_hat = qubit_nf_choi(nf)
+        m = qubit_nf_map(nf)
+        assert maxnorm(c_phi.s - choi_from_map(m).s) <= 1e-14
+        assert maxnorm(c_hat.s - choi_from_map(adjoint(m)).s) <= 1e-14
+        assert maxnorm(c_phi.s - c_phi.s.conj().T) == 0.0
+        assert maxnorm(c_hat.s - c_hat.s.conj().T) == 0.0
 
 
 def test_qubit_nf_params_hand_values():

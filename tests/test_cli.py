@@ -11,9 +11,11 @@ Golden outputs under ``tests/golden`` were produced by the CLI itself:
 and must regenerate byte-identically.
 """
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import schurq
 from schurq.channels import ChoiMatrix, is_trace_preserving, kraus_from_choi, map_from_choi
 from schurq.cli import main
 from schurq.fileio import (
@@ -32,7 +35,7 @@ from schurq.fileio import (
     write_text,
 )
 from schurq.linalg import maxnorm
-from schurq.params import SchurParams
+from schurq.params import SchurParams, forward
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -106,6 +109,16 @@ def test_params_file_rejects_bad_content():
     bad_idx["gamma"][0]["j"] = 1
     with pytest.raises(ValueError):
         params_from_obj(bad_idx)
+
+
+def test_params_file_accepts_what_validate_accepts():
+    """The file reader and SchurParams.validate share one disc bound, so a
+    modulus inside its allowance (1 + DEFAULT_TOL.abs_eps) reads back."""
+    obj = {"dim": 2, "diag": [1.0, 1.0],
+           "gamma": [{"k": 1, "j": 2, "re": 1.0 + 5e-11, "im": 0.0, "defined": True}]}
+    p = params_from_obj(obj)
+    assert p.gamma[0, 1] == 1.0 + 5e-11
+    assert np.isfinite(forward(p)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +217,19 @@ def test_reconstruct_unit_modulus_chain_rank_one(tmp_path):
 
 
 def test_reconstruct_bad_params_exit1(tmp_path, capsys):
-    obj = {"dim": 2, "diag": [1.0, 1.0],
-           "gamma": [{"k": 1, "j": 2, "re": 1.5, "im": 0.0, "defined": True}]}
-    write_text(str(tmp_path / "p.json"), dumps_canonical(obj))
-    assert main(["reconstruct", "--in", str(tmp_path / "p.json"),
-                 "--out", str(tmp_path / "r.json")]) == 1
+    def entry(**kw):
+        return dict({"k": 1, "j": 2, "re": 0.0, "im": 0.0, "defined": True}, **kw)
+    bad = [
+        {"dim": 2, "diag": [1.0, 1.0], "gamma": [entry(re=1.5)]},
+        {"dim": 2, "diag": [1.0, 1.0], "gamma": [entry(re=0.5, defined=False)]},
+        {"dim": 2, "diag": [-1.0, 1.0], "gamma": [entry()]},
+        {"dim": 2, "diag": [1.0, None], "gamma": [entry()]},
+        {"dim": 3, "diag": [1.0] * 3, "gamma": [entry(), entry(), entry(j=3)]},  # (1, 2) twice
+    ]
+    for obj in bad:
+        write_text(str(tmp_path / "p.json"), dumps_canonical(obj))
+        assert main(["reconstruct", "--in", str(tmp_path / "p.json"),
+                     "--out", str(tmp_path / "r.json")]) == 1, obj
     capsys.readouterr()
 
 
@@ -495,3 +516,15 @@ def test_demo_runs(demo):
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip()
+
+
+def test_every_all_name_resolves():
+    """``from <module> import *`` binds every name each module's ``__all__``
+    lists, so a deletion cannot leave a stale entry behind."""
+    modules = [m.name for m in pkgutil.iter_modules(schurq.__path__)]
+    assert "states" in modules and "displacement" in modules
+    for name in modules:
+        listed = getattr(importlib.import_module(f"schurq.{name}"), "__all__", ())
+        namespace: dict = {}
+        exec(f"from schurq.{name} import *", namespace)
+        assert [n for n in listed if n not in namespace] == [], name

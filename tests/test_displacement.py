@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from schurq.displacement import GeneratorState, displacement_inverse
+from schurq.displacement import displacement_inverse
 from schurq.linalg import NotPSDError, maxnorm
-from schurq.params import SchurParams, cholesky_factor, forward, inverse
+from schurq.params import SchurParams, forward, inverse
 
 
 def test_identity():
@@ -85,26 +85,3 @@ def test_rejects_indefinite():
         displacement_inverse(np.diag([1.0, -1.0]))
     with pytest.raises(NotPSDError):
         displacement_inverse(np.array([[0.0, 0.5], [0.5, 1.0]]))
-
-
-def test_generator_states_and_cholesky_columns():
-    rng = np.random.default_rng(21)
-    d = 6
-    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    s = x.conj().T @ x
-    p, states = displacement_inverse(s, collect_states=True)
-    assert all(isinstance(st, GeneratorState) for st in states)
-    # every accepted node satisfies the signature inequality
-    assert min(st.d_top for st in states) >= -1e-9 * (1 + maxnorm(s))
-    # time-0 columns assemble the (lower) unit Cholesky factor
-    lam = np.zeros((d, d), dtype=complex)
-    for st in states:
-        if st.cholesky_column is not None:
-            lam[st.step:, st.step] = st.cholesky_column
-    np.testing.assert_allclose(lam, cholesky_factor(p).conj().T, atol=1e-10)
-
-
-def test_states_counts():
-    _, states = displacement_inverse(np.eye(4), collect_states=True)
-    # level m has d - m nodes
-    assert len(states) == 4 + 3 + 2 + 1

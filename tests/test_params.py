@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from schurq.channels import ChoiMatrix, capacity_D
-from schurq.linalg import NotPSDError, maxnorm, reference_determinant, reference_eigenvalues
+from schurq.linalg import (
+    NotPSDError,
+    maxnorm,
+    reference_cholesky,
+    reference_determinant,
+    reference_eigenvalues,
+)
 from schurq.params import (
     SchurParams,
     cholesky_factor,
@@ -136,6 +142,17 @@ def test_cholesky_factor_shape_and_consistency():
         assert maxnorm(np.tril(g, -1)) == 0
         u = g * p.diag[None, :]
         assert maxnorm(u.conj().T @ u - s) <= 1e-9 * (1 + maxnorm(s))
+    # On full-rank input the scaled factor is the Cholesky factor, entry by
+    # entry (gap about 1e-15 * |S|), not just some U with U*U = S.
+    full_rank = _large_inputs()[::2]  # rank 2d at d 32 and 48
+    for d in (3, 6, 12):
+        for _ in range(10):
+            x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            full_rank.append(x.conj().T @ x)
+    for s in full_rank:
+        p = inverse(s)
+        u = cholesky_factor(p) * p.diag[None, :]
+        assert maxnorm(u - reference_cholesky(s)) <= 1e-13 * (1 + maxnorm(s))
 
 
 def test_cholesky_factor_d2():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,8 +7,6 @@ import pytest
 from schurq.linalg import NotPSDError, kron, maxnorm, reference_eigenvalues
 from schurq.params import SchurParams, forward
 from schurq.states import (
-    ConsistencyError,
-    build_basis,
     bell_state,
     entropy_E,
     entropy_E0,
@@ -50,7 +49,65 @@ def _random_full_rank(rng, d):
 
 
 # ---------------------------------------------------------------------------
-# basis
+# basis: the reference the closed-form coefficients are checked against
+
+
+@dataclass(frozen=True)
+class HermBasis:
+    """Orthogonal self-adjoint basis {h_1=I, h_2..h_d, f_kj (k != j)}.
+
+    ``elements`` lists all d^2 matrices: first ``h_1 .. h_d``, then for
+    each pair k < j (row-major) the symmetric ``f_kj`` followed by the
+    antisymmetric ``f_jk``.  ``h`` and ``f`` index with the 1-based
+    labels of the construction.
+    """
+
+    dim: int
+    elements: tuple[np.ndarray, ...]
+
+    def h(self, l: int) -> np.ndarray:
+        if not 1 <= l <= self.dim:
+            raise IndexError(f"h index {l} out of range 1..{self.dim}")
+        return self.elements[l - 1]
+
+    def f(self, k: int, j: int) -> np.ndarray:
+        d = self.dim
+        if k == j or not (1 <= k <= d and 1 <= j <= d):
+            raise IndexError(f"f index ({k}, {j}) invalid for dim {d}")
+        lo, hi = min(k, j), max(k, j)
+        pair = (lo - 1) * (2 * d - lo) // 2 + (hi - lo - 1)
+        return self.elements[d + 2 * pair + (0 if k < j else 1)]
+
+
+def build_basis(d: int) -> HermBasis:
+    """The self-adjoint basis for dimension ``d`` (>= 2), built entry by entry.
+
+    ``h_1`` is the identity; for m >= 2, ``h_m`` has m-1 leading diagonal
+    ones followed by ``1 - m``, scaled by sqrt(2/(m(m-1))); ``f_kj`` with
+    k < j is the real pair matrix ``E_kj + E_jk`` and with k > j the
+    imaginary one ``i E_kj - i E_jk``.  For d = 2 this is {I, sigma_1,
+    sigma_2, sigma_3}; for d = 3 the Gell-Mann family.
+    """
+    if d < 2:
+        raise ValueError("basis construction needs dimension >= 2")
+    elems: list[np.ndarray] = [np.eye(d, dtype=np.complex128)]
+    for m in range(2, d + 1):
+        h = np.zeros((d, d), dtype=np.complex128)
+        c = math.sqrt(2.0 / (m * (m - 1)))
+        for t in range(m - 1):
+            h[t, t] = c
+        h[m - 1, m - 1] = c * (1 - m)
+        elems.append(h)
+    for k in range(1, d + 1):
+        for j in range(k + 1, d + 1):
+            sym = np.zeros((d, d), dtype=np.complex128)
+            sym[k - 1, j - 1] = sym[j - 1, k - 1] = 1.0
+            anti = np.zeros((d, d), dtype=np.complex128)
+            anti[k - 1, j - 1] = -1.0j
+            anti[j - 1, k - 1] = 1.0j
+            elems.append(sym)
+            elems.append(anti)
+    return HermBasis(d, tuple(elems))
 
 
 def test_basis_d2_is_pauli():
@@ -149,7 +206,56 @@ def test_state_from_matrix_rejects_bad_trace():
         state_from_matrix(np.eye(2))
 
 
+# Margins below this size are too close to call for the explicit d = 2 and
+# d = 3 conditions; away from it they must agree with the band test.
+_FAST_PATH_SLACK = 1e-6
+
+
+def _cylinder_margin(beta: np.ndarray, gamma: np.ndarray) -> float:
+    """d=2 positivity margin: (1 - beta3^2) - (gamma12^2 + gamma21^2).
+
+    Nonnegative exactly when the coefficient vector lies in the solid
+    cylinder |beta3| <= 1, gamma12^2 + gamma21^2 <= 1 - beta3^2.
+    """
+    b3 = float(beta[0])
+    return (1.0 - b3 * b3) - (gamma[0, 1] ** 2 + gamma[1, 0] ** 2)
+
+
+def _gell_mann_margin(beta: np.ndarray, gamma: np.ndarray) -> float | None:
+    """d=3 positivity margin from the explicit inequality system.
+
+    Division-free rearrangement with D_k = 3*rho_kk and x_kj the scaled
+    upper entries: the three diagonal conditions, the two consecutive
+    band conditions D_k D_{k+1} >= |x_{k,k+1}|^2, and the long-band
+    condition |D_2 x13 - x12 x23| <= sqrt((D1 D2 - |x12|^2)(D2 D3 -
+    |x23|^2)) (for D_2 > 0; for D_2 = 0 it degenerates to |x13| <=
+    sqrt(D1 D3)).  Returns None when the D_2 branch is too close to
+    call.
+    """
+    b2, b3 = float(beta[0]), float(beta[1])
+    d1 = 1.0 + b2 + b3 / math.sqrt(3.0)
+    d2 = 1.0 - b2 + b3 / math.sqrt(3.0)
+    d3 = 1.0 - 2.0 * b3 / math.sqrt(3.0)
+    x12 = gamma[0, 1] - 1.0j * gamma[1, 0]
+    x23 = gamma[1, 2] - 1.0j * gamma[2, 1]
+    x13 = gamma[0, 2] - 1.0j * gamma[2, 0]
+    m12 = d1 * d2 - abs(x12) ** 2
+    m23 = d2 * d3 - abs(x23) ** 2
+    margin = min(d1, d2, d3, m12, m23)
+    if margin < 0.0:
+        return margin
+    if d2 > _FAST_PATH_SLACK:
+        m13 = math.sqrt(m12 * m23) - abs(d2 * x13 - x12 * x23)
+    elif d2 == 0.0:
+        m13 = math.sqrt(d1 * d3) - abs(x13)
+    else:
+        return None
+    return min(margin, m13)
+
+
 def test_fast_paths_match_generic_verdict():
+    """The paper's explicit d = 2 cylinder and d = 3 Gell-Mann conditions
+    agree with the band test wherever their margin is decisive."""
     rng = np.random.default_rng(11)
     seen_bad = 0
     for _ in range(300):
@@ -157,12 +263,16 @@ def test_fast_paths_match_generic_verdict():
         beta = rng.uniform(-1.2, 1.2, size=d - 1)
         gamma = rng.uniform(-0.7, 0.7, size=(d, d))
         np.fill_diagonal(gamma, 0.0)
+        margin = (_cylinder_margin if d == 2 else _gell_mann_margin)(beta, gamma)
         try:
             state_from_coeffs(d, beta, gamma)
+            accepted = True
         except NotPSDError:
+            accepted = False
             seen_bad += 1
-        # ConsistencyError would mean the inequality systems disagree
-        # with the band test; any draw raising it fails the test.
+        # Every seeded draw is decisive (|margin| >= 2.8e-3).
+        assert margin is not None and abs(margin) > _FAST_PATH_SLACK
+        assert accepted == (margin > 0.0), (d, beta, gamma, margin)
     assert 0 < seen_bad < 300
 
 
