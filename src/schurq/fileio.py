@@ -93,7 +93,10 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
     for idx, pair in enumerate(data):
         if (not isinstance(pair, list)) or len(pair) != 2:
             raise ValueError(f"matrix entry {idx} is not an [re, im] pair")
-        re, im = float(pair[0]), float(pair[1])
+        try:
+            re, im = float(pair[0]), float(pair[1])
+        except TypeError as exc:
+            raise ValueError(f"matrix entry {idx} is not numeric: {exc}") from exc
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValueError(f"matrix entry {idx} is not finite")
         out[idx] = complex(re, im)
@@ -147,9 +150,11 @@ def params_from_obj(obj: dict) -> SchurParams:
             k = int(ent["k"])
             j = int(ent["j"])
             val = complex(float(ent["re"]), float(ent["im"]))
-            flag = bool(ent["defined"])
+            flag = ent["defined"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed gamma entry: {exc}") from exc
+        if not isinstance(flag, bool):
+            raise ValueError(f"gamma entry ({k}, {j}): defined must be true or false")
         if not (1 <= k < j <= d):
             raise ValueError(f"gamma indices ({k}, {j}) out of range (1-based, k < j)")
         if (k, j) in seen:

@@ -19,6 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = [
+    "Tolerance",
+    "DEFAULT_TOL",
+    "CIRCLE_SNAP",
+    "NotPSDError",
+    "ConsistencyError",
+    "maxnorm",
+    "is_hermitian",
+    "hermitize",
+    "reference_cholesky",
+    "reference_eigenvalues",
+    "reference_determinant",
+    "kron",
+]
+
 
 @dataclass(frozen=True)
 class Tolerance:

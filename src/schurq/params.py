@@ -24,6 +24,11 @@ information about ``gamma[k, j]``; the parameter is stored as 0 with
 ``defined[k, j] = False``, the entry is only checked for consistency, and
 extraction goes on with its covariance removed, so reconstruction does not
 depend on the convention value (its coefficient is the vanished divisor).
+A masked window does not move the lattice (its parameter is 0, its defect 1),
+and a band of zero parameters skips the update altogether (unless the input
+holds a -0.0, which the update may turn into +0.0).  Past band r of a generic
+rank-r input every window is masked (a dead band), so extraction and synthesis
+update the lattice for bands 1..r only.
 """
 
 from __future__ import annotations
@@ -183,7 +188,10 @@ class _Lattice:
     def absorb(self, b: int, gam: np.ndarray, dg: np.ndarray, divisor: np.ndarray) -> None:
         """Move every window of band b one step out, past its parameter ``gam``
         of defect ``dg``.  A window of zero divisor has a zero-variance
-        residual: its rows stay."""
+        residual: its rows stay.  When every ``gam`` is 0 no value moves
+        (``dl * 1 == dl``), but ``f - 0 g`` may turn a -0.0 of ``f`` into
+        +0.0 (and likewise for ``g``).  No update makes a -0.0, so callers
+        skip such a band on rows that hold none."""
         n = gam.shape[0]
         sl, sr = self.lvec[:n] * self.dl[:n], self.lvec[b:] * self.dr[b:]  # sd(f), sd(g)
         live = divisor > 0.0
@@ -217,7 +225,8 @@ def _synthesize(params: SchurParams) -> tuple[np.ndarray, _Lattice]:
         # f[k] . S[:, k+b] while S[k, k+b] is still 0: the projected part.
         known = np.einsum("ki,ik->k", lat.f[:d - b], s[:, b:])  # reads the upper part
         _band_diagonal(s, b)[:] = gam * divisor - known
-        lat.absorb(b, gam, defect(gam), divisor)
+        if np.count_nonzero(gam):  # the identity rows hold no -0.0
+            lat.absorb(b, gam, defect(gam), divisor)
     return s, lat
 
 
@@ -264,34 +273,44 @@ def _extract(s: np.ndarray) -> tuple[np.ndarray, SchurParams, _Lattice]:
     gamma, defined = np.zeros((d, d), dtype=np.complex128), ~_lower(d)
     lat = _Lattice(lvec, np.concatenate((s, np.eye(d, dtype=np.complex128)), axis=1))
     cov_flat, gamma_flat = lat.f.reshape(-1), gamma.reshape(-1)
+    parts = cov_flat.view(np.float64)
+    neg_zero = np.count_nonzero(np.signbit(parts) & (parts == 0.0))
     for b in range(1, d):
         ll, dprod, divisor = lat.divisor(b)
         cov = cov_flat[b::2 * d + 1][:d - b]
-        # Plain division unless some entry needs _entry_step's mask, clamp or
-        # failure: the same floating-point operations, far fewer calls.
-        plain = not np.count_nonzero(_degenerate(divisor, scale))
-        if plain:
-            val = cov / ll / dprod
-            mod = np.abs(val)
-            plain = not np.count_nonzero(mod > 1.0)
-        if plain:
-            gam, dg = val, np.sqrt(1.0 - mod * mod)
+        # Masked windows only get their residual checked; live ones divide.
+        # _entry_step, the same floating-point operations in far more numpy
+        # calls, is left for a clamp or a failure.
+        masked = _degenerate(divisor, scale)
+        n_masked = np.count_nonzero(masked)
+        if n_masked:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                val = np.where(masked, 0.0, cov / ll / dprod)
         else:
+            val = cov / ll / dprod
+        mod = np.abs(val)
+        if np.count_nonzero(mod > 1.0) or n_masked and np.count_nonzero(
+                masked & (np.abs(cov) > DEFAULT_TOL.entry(scale) + divisor)):
             val, masked, failure = _entry_step(cov, 0.0, ll, dprod, scale)
             if failure is not None:
                 k, reason, value = failure
                 raise NotPSDError(reason, entry=(k, k + b), band=b, value=value)
-            if np.count_nonzero(masked):  # go on from S minus the masked covariances
-                k, a = np.flatnonzero(masked), cov[masked]
-                for rows in (lat.f, lat.g):
-                    rows[:, k + b] -= rows[:, d + k] * a
-                    rows[:, k] -= rows[:, d + k + b] * np.conj(a)
-                defined[k, k + b] = False
             mod = np.abs(val)
             gam = np.divide(val, mod, out=val, where=mod > 1.0)  # clamp onto the circle
             dg = defect(gam)
+        else:
+            gam, dg = val, np.sqrt(1.0 - mod * mod)
+        if n_masked:  # go on from S minus the masked covariances
+            k, a = np.flatnonzero(masked), cov[masked]
+            for rows in (lat.f, lat.g):
+                rows[:, k + b] -= rows[:, d + k] * a
+                rows[:, k] -= rows[:, d + k + b] * np.conj(a)
+            defined[k, k + b] = False
         gamma_flat[b::d + 1][:d - b] = gam
-        if b < d - 1:
+        # A band of zero parameters (every band past the rank of a generic
+        # rank-deficient input) skips the update, which could only turn a
+        # -0.0 into +0.0, unless the input holds a -0.0.
+        if b < d - 1 and (neg_zero or np.count_nonzero(gam)):
             lat.absorb(b, gam, dg, divisor)
     params = SchurParams(d, lvec, gamma, defined)
     params.validate()

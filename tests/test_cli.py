@@ -109,6 +109,11 @@ def test_params_file_rejects_bad_content():
     bad_idx["gamma"][0]["j"] = 1
     with pytest.raises(ValueError):
         params_from_obj(bad_idx)
+    for flag in ("false", "true", 0, 1, None):  # only JSON booleans
+        bad_flag = json.loads(json.dumps(base))
+        bad_flag["gamma"][0]["defined"] = flag
+        with pytest.raises(ValueError, match="defined must be true or false"):
+            params_from_obj(bad_flag)
 
 
 def test_params_file_accepts_what_validate_accepts():
@@ -170,6 +175,17 @@ def test_parametrize_usage_errors(tmp_path, capsys):
     assert main(["parametrize", "--in", str(tmp_path / "nh.json"),
                  "--out", str(tmp_path / "p.json")]) == 1
     capsys.readouterr()
+
+
+def test_parametrize_non_numeric_entry_exit1(tmp_path, capsys):
+    """A null or list component is a file error: one line on stderr, exit 1."""
+    for pair in ([None, 0.0], [0.0, [1.0]]):
+        obj = {"rows": 1, "cols": 1, "data": [pair]}
+        write_text(str(tmp_path / "m.json"), dumps_canonical(obj))
+        assert main(["parametrize", "--in", str(tmp_path / "m.json"),
+                     "--out", str(tmp_path / "p.json")]) == 1, pair
+        err = capsys.readouterr().err
+        assert "matrix entry 0 is not numeric" in err and err.count("\n") == 1, err
 
 
 def test_pipeline_identity_both_methods(tmp_path):
@@ -519,12 +535,13 @@ def test_demo_runs(demo):
 
 
 def test_every_all_name_resolves():
-    """``from <module> import *`` binds every name each module's ``__all__``
-    lists, so a deletion cannot leave a stale entry behind."""
+    """Every module has an ``__all__``, and ``from <module> import *`` binds
+    exactly its names: a deletion cannot leave a stale entry behind, and no
+    import (``np``, ``dataclass``) leaks out."""
     modules = [m.name for m in pkgutil.iter_modules(schurq.__path__)]
     assert "states" in modules and "displacement" in modules
     for name in modules:
-        listed = getattr(importlib.import_module(f"schurq.{name}"), "__all__", ())
+        listed = importlib.import_module(f"schurq.{name}").__all__
         namespace: dict = {}
         exec(f"from schurq.{name} import *", namespace)
-        assert [n for n in listed if n not in namespace] == [], name
+        assert sorted(set(namespace) - {"__builtins__"}) == sorted(listed), name

@@ -14,6 +14,7 @@ from schurq.linalg import (
 )
 from schurq.params import (
     SchurParams,
+    _extract,
     cholesky_factor,
     det_from_params,
     forward,
@@ -271,6 +272,52 @@ def test_boundary_masking_kills_dependent_entries():
     assert not q.defined[0, 2] and q.gamma[0, 2] == 0
 
 
+@pytest.mark.parametrize("d", [8, 16, 32])
+def test_rank_deficient_bands_are_dead(d, monkeypatch):
+    """Generic rank r: every window wider than r + 1 has a zero-variance
+    residual, so every parameter past band r is masked.  Extraction and
+    synthesis run the lattice update on bands 1..r only, and the general
+    entry step sees no band but r (where rounding may push |gamma| past 1)."""
+    import schurq.params as params
+
+    absorbed, stepped = [], []
+    absorb, entry_step = params._Lattice.absorb, params._entry_step
+
+    def counted_absorb(lat, b, *args):
+        absorbed.append(b)
+        return absorb(lat, b, *args)
+
+    def counted_step(entry, *args):
+        stepped.append(d - entry.shape[0])
+        return entry_step(entry, *args)
+
+    monkeypatch.setattr(params._Lattice, "absorb", counted_absorb)
+    monkeypatch.setattr(params, "_entry_step", counted_step)
+    rng = np.random.default_rng(70 + d)
+    band = np.arange(d)[None, :] - np.arange(d)[:, None]  # j - k
+    for r in (1, d // 4, d // 2):
+        s = _large_psd(rng, d, r)
+        absorbed.clear()
+        stepped.clear()
+        p = inverse(s)
+        assert np.array_equal(p.defined, (band >= 1) & (band <= r)), r
+        assert absorbed == list(range(1, r + 1)), r
+        assert set(stepped) <= {r}, r
+        absorbed.clear()
+        rebuilt = forward(p)
+        assert absorbed == list(range(1, r + 1)), r
+        assert maxnorm(rebuilt - s) <= 1e-12 * maxnorm(s), r
+
+
+def test_negative_zero_input_keeps_every_update():
+    """Absorbing a band of zero parameters turns some -0.0 of the lattice into
+    +0.0, so extraction skips it only on input free of -0.0.  Here band 1 is
+    zero and the -0.0 of S[0, 3] must leave the returned lattice as +0.0."""
+    s = np.array([[1, 0, 0, -0.0], [0, 1, 0, -0.3], [0, 0, 1, 0],
+                  [-0.0, -0.3, 0, 1]], dtype=complex)
+    herm, _, lat = _extract(s)
+    assert np.signbit(herm[0, 3].real)  # the Hermitian average keeps it
+    assert not np.signbit(lat.f[0, 3].real)
 def test_det_from_params():
     gamma = np.zeros((2, 2), dtype=complex)
     gamma[0, 1] = 0.6
