@@ -332,7 +332,7 @@ def capacity_D(c: ChoiMatrix) -> float:
 
 
 def _capacity_from_params(params: SchurParams) -> float:
-    return -_logdet(params) / params.dim
+    return 0.0 - _logdet(params) / params.dim  # +0.0, not -0.0, when det S = 1
 
 
 def choi_tensor(c1: ChoiMatrix, c2: ChoiMatrix) -> ChoiMatrix:
@@ -453,10 +453,11 @@ def qubit_nf_params(nf: QubitChannelNF) -> tuple[SchurParams, QubitNFReport]:
     defined = np.zeros((4, 4), dtype=bool)
     gamma: dict[tuple[int, int], complex | None] = {}
 
-    def place(k: int, j: int, entry: complex, known: complex, dprod: float):
-        """One recursion step: extract, clamp, or mask gamma_(k+1)(j+1)."""
+    def place(k: int, j: int, cov: complex, dprod: float):
+        """One recursion step: extract, clamp, or mask gamma_(k+1)(j+1) from
+        the residual covariance ``cov`` (the entry minus its known part)."""
         label = (k + 1, j + 1)
-        val, masked, failure = _entry_step(entry, known, lvec[k] * lvec[j], dprod, scale)
+        val, _, _, masked, failure = _entry_step(cov, lvec[k] * lvec[j], dprod, scale)
         val = None if masked else complex(val)
         gamma[label] = val
         if failure is not None:
@@ -472,18 +473,18 @@ def qubit_nf_params(nf: QubitChannelNF) -> tuple[SchurParams, QubitNFReport]:
         defined[k, j] = True
 
     # Band 1.  S12 = S34 = 0, so those parameters are zero whenever defined.
-    place(0, 1, 0.0, 0.0, 1.0)
-    place(1, 2, s23, 0.0, 1.0)
-    place(2, 3, 0.0, 0.0, 1.0)
+    place(0, 1, 0.0, 1.0)
+    place(1, 2, s23, 1.0)
+    place(2, 3, 0.0, 1.0)
     d23 = float(defect(gmat[1, 2]))
     # Band 2.  The known terms vanish because Gamma12 = Gamma34 = 0.
-    place(0, 2, s13, 0.0, d23)
-    place(1, 3, s24, 0.0, d23)
+    place(0, 2, s13, d23)
+    place(1, 3, s24, d23)
     d13 = float(defect(gmat[0, 2]))
     d24 = float(defect(gmat[1, 3]))
     # Band 3.  Surviving known term: -G13 conj(G23) G24.
     known14 = -gmat[0, 2] * np.conj(gmat[1, 2]) * gmat[1, 3]
-    place(0, 3, s14, known14, d13 * d24)
+    place(0, 3, s14 - lvec[0] * lvec[3] * known14, d13 * d24)
 
     params = SchurParams(4, lvec, gmat, defined)
     params.validate()

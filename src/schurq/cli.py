@@ -124,6 +124,9 @@ def cmd_state(args) -> int:
 
 
 def cmd_channel(args) -> int:
+    for flag, value in (("--din", args.din), ("--dout", args.dout)):
+        if value < 1:
+            raise _UsageError(f"{flag} must be positive, got {value}")
     m = _load_matrix(args.choi)
     n = args.din * args.dout
     if m.shape != (n, n):

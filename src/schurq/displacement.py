@@ -17,13 +17,18 @@ is the conjugate of ``gamma[tau, tau + m]``.  (Stated as a time-shift rule,
 the published recursion's first step is always the identity rotation; the
 level index here absorbs that step.)
 
-Degenerate nodes follow the same conventions as the direct solve: a vanishing
-top-row ``u`` masks the parameter (value 0); a ratio on the unit circle
-(clamped onto it, or of defect 0 after rounding) requires the columns to be
-proportional (else the matrix is not PSD) and annihilates the
-transformed generator, which is its exact limit.  The defined mask of the
-result is recomputed with the divisor rule of the direct solve so both routes
-agree on which parameters are genuine.
+Degenerate nodes follow the divisor rule of the direct solve, decided when
+the recursion reaches them: the divisor of node (k, j) is ``L_k L_j`` times
+the defect products of the parameters already decided along row k and column
+j.  A masked node stores 0 (``defined`` False) and takes the identity
+rotation, so no noise ratio enters later levels; its generator must still
+keep the signature ``|u0| >= |v0|`` (within the entry slack of the
+unit-diagonal scaling), as a masked entry of the direct solve must keep its
+residual.  A live node's ratio is judged by the disc allowance of the direct
+solve; a ratio on the unit circle (clamped onto it, or of defect 0 after
+rounding) requires the columns to be proportional (else the matrix is not
+PSD) and annihilates the transformed generator, which is its exact limit;
+a live node whose ``u0`` that annihilation zeroed takes ratio 0.
 """
 
 from __future__ import annotations
@@ -64,11 +69,12 @@ def _theta_transform(g: np.ndarray, gamma_hat: complex, degenerate: bool) -> np.
 def displacement_inverse(s: np.ndarray) -> SchurParams:
     """Extract Schur parameters via the generator recursion.
 
-    Agrees with :func:`schurq.params.inverse` (tested to 1e-9 entrywise); the
-    result is additionally verified by reconstruction, so inconsistent
-    (non-PSD) input raises :class:`NotPSDError` on this route too, either at
-    a signature violation (``d_top`` below minus the entry slack of the
-    unit-diagonal scaling) or at the final check.
+    Agrees with :func:`schurq.params.inverse` (tested to 1e-9 entrywise, with
+    equal ``defined`` masks); the result is additionally verified by
+    reconstruction, so inconsistent (non-PSD) input raises
+    :class:`NotPSDError` on this route too: at a masked node whose generator
+    violates the signature, a ratio past the disc allowance, a boundary
+    generator with columns that are not proportional, or the final check.
     """
     s, lvec, scale = _preamble(s)
     d = s.shape[0]
@@ -86,7 +92,6 @@ def displacement_inverse(s: np.ndarray) -> SchurParams:
                           band=int(abs(j - k)), value=float(abs(s[k, j])))
 
     snorm1 = maxnorm(s1)
-    u_eps = DEFAULT_TOL.abs_eps
     d_tol = DEFAULT_TOL.entry(snorm1)
     prop_tol = 1e3 * d_tol
 
@@ -94,6 +99,10 @@ def displacement_inverse(s: np.ndarray) -> SchurParams:
     gammas = [0.0 + 0.0j] * d
     degen = [False] * d
     gamma = np.zeros((d, d), dtype=np.complex128)
+    defined = np.triu(np.ones((d, d), dtype=bool), 1)
+    # Defect products of the parameters decided so far along each row (dl)
+    # and column (dr), as in the direct solve's lattice.
+    lv, dl, dr = lvec.tolist(), [1.0] * d, [1.0] * d
 
     for m in range(1, d):
         trans = [_theta_transform(g, gammas[tau], degen[tau])
@@ -109,49 +118,39 @@ def displacement_inverse(s: np.ndarray) -> SchurParams:
             g[:, 1] = b[1:, 1]
             k, j = tau, tau + m
             u0, v0 = g[0, 0], g[0, 1]
-            d_top = float(abs(u0) ** 2 - abs(v0) ** 2)
-            if d_top < -d_tol:
-                raise NotPSDError("generator signature violated",
-                                  entry=(k, j), band=m, value=d_top)
-            if abs(u0) <= u_eps:
-                gh, dgn = 0.0 + 0.0j, False
-            else:
+            divisor = lv[k] * lv[j] * (dl[k] * dr[j])
+            gh, dgn = 0.0 + 0.0j, False
+            if _degenerate(divisor, scale):  # masked: ratio 0, the identity rotation
+                d_top = float(abs(u0) ** 2 - abs(v0) ** 2)
+                if d_top < -d_tol:
+                    raise NotPSDError("generator signature violated",
+                                      entry=(k, j), band=m, value=d_top)
+                defined[k, j] = False
+            elif u0 != 0:  # 0 after a node on the circle annihilated it: ratio 0
                 gh = v0 / u0
                 mod = abs(gh)
-                dgn = False
                 if mod > 1.0:
-                    divisor = max(float(abs(u0)) * lvec[k] * lvec[j], 1e-300)
                     if mod - 1.0 > _disc_allowance(scale, divisor):
                         raise NotPSDError("parameter outside the unit disc",
                                           entry=(k, j), band=m, value=float(mod))
                     gh /= mod
                     mod = 1.0
-                if mod == 1.0 or defect(gh) == 0.0:  # the transform would divide by 0
+                dg = defect(gh)
+                if mod == 1.0 or dg == 0.0:  # the transform would divide by 0
                     resid = maxnorm(g[:, 1] - gh * g[:, 0])
                     if resid > prop_tol:
                         raise NotPSDError("inconsistent boundary generator",
                                           entry=(k, j), band=m, value=float(resid))
                     dgn = True
-            gamma[k, j] = np.conj(gh)
+                gamma[k, j] = np.conj(gh)
+                dl[k] *= dg
+                dr[j] *= dg
             new_gens.append(g)
             new_gammas.append(gh)
             new_degen.append(dgn)
         gens, gammas, degen = new_gens, new_gammas, new_degen
 
-    # Reconcile the defined mask with the divisor rule of the direct solve;
-    # masked slots revert to the convention value 0.
-    defined = np.zeros((d, d), dtype=bool)
-    final = np.zeros((d, d), dtype=np.complex128)
-    for b in range(1, d):
-        for k in range(d - b):
-            j = k + b
-            dprod = float(np.prod(defect(final[k, k + 1:j]))
-                          * np.prod(defect(final[k + 1:j, j])))
-            if not _degenerate(lvec[k] * lvec[j] * dprod, scale):
-                final[k, j] = gamma[k, j]
-                defined[k, j] = True
-
-    params = SchurParams(d, lvec, final, defined)
+    params = SchurParams(d, lvec, gamma, defined)
     params.validate()
 
     err = maxnorm(forward(params) - s)

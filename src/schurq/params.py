@@ -24,11 +24,13 @@ information about ``gamma[k, j]``; the parameter is stored as 0 with
 ``defined[k, j] = False``, the entry is only checked for consistency, and
 extraction goes on with its covariance removed, so reconstruction does not
 depend on the convention value (its coefficient is the vanished divisor).
-A masked window does not move the lattice (its parameter is 0, its defect 1),
-and a band of zero parameters skips the update altogether (unless the input
-holds a -0.0, which the update may turn into +0.0).  Past band r of a generic
+One step, ``_entry_step``, masks, rejects and clamps every band of the
+extraction (and every entry of the qubit normal form's closed forms).  A
+masked window does not move the lattice (its parameter is 0, its defect 1),
+and a band of zero parameters skips the update.  Past band r of a generic
 rank-r input every window is masked (a dead band), so extraction and synthesis
-update the lattice for bands 1..r only.
+update the lattice for bands 1..r only.  The lattice's zero signs are
+internal: a skipped update might have turned a -0.0 into +0.0.
 """
 
 from __future__ import annotations
@@ -144,28 +146,41 @@ def _disc_allowance(scale: float, divisor):
                           np.minimum(0.1, DEFAULT_TOL.rel_eps * (1.0 + scale) / divisor))
 
 
-def _entry_step(entry, known, ll, dprod, scale: float):
-    """Extract gamma from ``entry = ll (known + dprod * gamma)``, elementwise:
-    ``(val, masked, failure)``, with ``val`` before clamping onto the circle (0
-    where ``masked`` flags a degenerate divisor) and ``failure`` None or
-    ``(i, reason, value)`` for the first flat index proving a NotPSDError."""
+def _entry_step(cov, ll, dprod, scale: float):
+    """Extract gamma from residual covariances ``cov = ll * dprod * gamma``,
+    elementwise: ``(val, gam, dg, masked, failure)``.  ``val`` is the ratio
+    before clamping (0 where ``masked`` flags a degenerate divisor), ``gam``
+    is it clamped onto the circle, ``dg`` the defects of ``gam``, and
+    ``failure`` None or ``(i, reason, value)`` for the first flat index
+    proving a NotPSDError: a masked entry whose residual exceeds the entry
+    slack plus its divisor, or a ratio past the disc allowance."""
     divisor = ll * dprod
     masked = _degenerate(divisor, scale)
+    inconsistent = None
+    if np.count_nonzero(masked):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = np.where(masked, 0.0, cov / ll / dprod)
+        resid = np.abs(cov)
+        inconsistent = masked & (resid > DEFAULT_TOL.entry(scale) + divisor)
+    else:
+        val = cov / ll / dprod
+    mod = np.abs(val)
+    clamp = mod > 1.0
+    if not np.count_nonzero(clamp) and (inconsistent is None
+                                        or not np.count_nonzero(inconsistent)):
+        return val, val, np.sqrt(1.0 - mod * mod), masked, None
+    outside = clamp & (mod - 1.0 > _disc_allowance(scale, divisor))
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.where(masked, 0.0, (entry / ll - known) / dprod)
-    mod, resid = np.abs(val), np.abs(entry - ll * known)
-    inconsistent = masked & (resid > DEFAULT_TOL.entry(scale) + divisor)
-    outside = mod > 1.0
-    if np.count_nonzero(outside):
-        outside &= mod - 1.0 > _disc_allowance(scale, divisor)
-    bad = np.ravel(inconsistent | outside)
-    if not np.count_nonzero(bad):
-        return val, masked, None
-    i = int(np.argmax(bad))
-    if np.ravel(inconsistent)[i]:
-        return val, masked, (i, "inconsistent degenerate entry",
-                             float(np.ravel(resid)[i]))
-    return val, masked, (i, "parameter outside the unit disc", float(np.ravel(mod)[i]))
+        gam = np.where(clamp, val / mod, val)
+    bad = np.ravel(outside if inconsistent is None else inconsistent | outside)
+    failure = None
+    if np.count_nonzero(bad):
+        i = int(np.argmax(bad))
+        if inconsistent is not None and np.ravel(inconsistent)[i]:
+            failure = (i, "inconsistent degenerate entry", float(np.ravel(resid)[i]))
+        else:
+            failure = (i, "parameter outside the unit disc", float(np.ravel(mod)[i]))
+    return val, gam, defect(gam), masked, failure
 
 
 class _Lattice:
@@ -180,21 +195,20 @@ class _Lattice:
         self.lvec, self.f, self.g = lvec, rows, rows.copy()
         self.dl, self.dr = np.ones(lvec.shape[0]), np.ones(lvec.shape[0])
 
-    def divisor(self, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(L_k L_{k+b}, dprod, divisor)`` of every window of band b."""
-        ll, dprod = self.lvec[:-b] * self.lvec[b:], self.dl[:-b] * self.dr[b:]
-        return ll, dprod, ll * dprod
+    def window(self, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(L_k L_{k+b}, dl[k] dr[k+b])`` of every window of band b; their
+        product is the window's divisor."""
+        return self.lvec[:-b] * self.lvec[b:], self.dl[:-b] * self.dr[b:]
 
-    def absorb(self, b: int, gam: np.ndarray, dg: np.ndarray, divisor: np.ndarray) -> None:
+    def absorb(self, b: int, gam: np.ndarray, dg: np.ndarray, live: np.ndarray) -> None:
         """Move every window of band b one step out, past its parameter ``gam``
-        of defect ``dg``.  A window of zero divisor has a zero-variance
-        residual: its rows stay.  When every ``gam`` is 0 no value moves
-        (``dl * 1 == dl``), but ``f - 0 g`` may turn a -0.0 of ``f`` into
-        +0.0 (and likewise for ``g``).  No update makes a -0.0, so callers
-        skip such a band on rows that hold none."""
+        of defect ``dg``.  The rows of a window that is not ``live`` (a
+        zero-variance residual) stay.  A band of zero parameters moves no
+        value (``dl * 1 == dl``) and is skipped."""
+        if not np.count_nonzero(gam):
+            return
         n = gam.shape[0]
         sl, sr = self.lvec[:n] * self.dl[:n], self.lvec[b:] * self.dr[b:]  # sd(f), sd(g)
-        live = divisor > 0.0
         if np.count_nonzero(live) < n:
             gam, sl, sr = np.where(live, gam, 0.0), np.where(live, sl, 1.0), \
                 np.where(live, sr, 1.0)
@@ -219,14 +233,15 @@ def _synthesize(params: SchurParams) -> tuple[np.ndarray, _Lattice]:
     d, lvec = params.dim, params.diag
     s = np.diag((lvec * lvec).astype(np.complex128))
     lat = _Lattice(lvec, np.eye(d, dtype=np.complex128))
+    dgs = defect(params.gamma)
     for b in range(1, d):
-        _, _, divisor = lat.divisor(b)
+        ll, dprod = lat.window(b)
+        divisor = ll * dprod
         gam = params.gamma.diagonal(b)
         # f[k] . S[:, k+b] while S[k, k+b] is still 0: the projected part.
         known = np.einsum("ki,ik->k", lat.f[:d - b], s[:, b:])  # reads the upper part
         _band_diagonal(s, b)[:] = gam * divisor - known
-        if np.count_nonzero(gam):  # the identity rows hold no -0.0
-            lat.absorb(b, gam, defect(gam), divisor)
+        lat.absorb(b, gam, dgs.diagonal(b), divisor > 0.0)
     return s, lat
 
 
@@ -273,45 +288,22 @@ def _extract(s: np.ndarray) -> tuple[np.ndarray, SchurParams, _Lattice]:
     gamma, defined = np.zeros((d, d), dtype=np.complex128), ~_lower(d)
     lat = _Lattice(lvec, np.concatenate((s, np.eye(d, dtype=np.complex128)), axis=1))
     cov_flat, gamma_flat = lat.f.reshape(-1), gamma.reshape(-1)
-    parts = cov_flat.view(np.float64)
-    neg_zero = np.count_nonzero(np.signbit(parts) & (parts == 0.0))
     for b in range(1, d):
-        ll, dprod, divisor = lat.divisor(b)
+        ll, dprod = lat.window(b)
         cov = cov_flat[b::2 * d + 1][:d - b]
-        # Masked windows only get their residual checked; live ones divide.
-        # _entry_step, the same floating-point operations in far more numpy
-        # calls, is left for a clamp or a failure.
-        masked = _degenerate(divisor, scale)
-        n_masked = np.count_nonzero(masked)
-        if n_masked:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                val = np.where(masked, 0.0, cov / ll / dprod)
-        else:
-            val = cov / ll / dprod
-        mod = np.abs(val)
-        if np.count_nonzero(mod > 1.0) or n_masked and np.count_nonzero(
-                masked & (np.abs(cov) > DEFAULT_TOL.entry(scale) + divisor)):
-            val, masked, failure = _entry_step(cov, 0.0, ll, dprod, scale)
-            if failure is not None:
-                k, reason, value = failure
-                raise NotPSDError(reason, entry=(k, k + b), band=b, value=value)
-            mod = np.abs(val)
-            gam = np.divide(val, mod, out=val, where=mod > 1.0)  # clamp onto the circle
-            dg = defect(gam)
-        else:
-            gam, dg = val, np.sqrt(1.0 - mod * mod)
-        if n_masked:  # go on from S minus the masked covariances
+        _, gam, dg, masked, failure = _entry_step(cov, ll, dprod, scale)
+        if failure is not None:
+            k, reason, value = failure
+            raise NotPSDError(reason, entry=(k, k + b), band=b, value=value)
+        if np.count_nonzero(masked):  # go on from S minus the masked covariances
             k, a = np.flatnonzero(masked), cov[masked]
             for rows in (lat.f, lat.g):
                 rows[:, k + b] -= rows[:, d + k] * a
                 rows[:, k] -= rows[:, d + k + b] * np.conj(a)
             defined[k, k + b] = False
         gamma_flat[b::d + 1][:d - b] = gam
-        # A band of zero parameters (every band past the rank of a generic
-        # rank-deficient input) skips the update, which could only turn a
-        # -0.0 into +0.0, unless the input holds a -0.0.
-        if b < d - 1 and (neg_zero or np.count_nonzero(gam)):
-            lat.absorb(b, gam, dg, divisor)
+        if b < d - 1:
+            lat.absorb(b, gam, dg, ~masked)
     params = SchurParams(d, lvec, gamma, defined)
     params.validate()
     return s, params, lat
@@ -324,7 +316,7 @@ def _read_factor(params: SchurParams, lat: _Lattice) -> np.ndarray:
     d = params.dim
     if d > 1:
         gam = params.gamma[0, d - 1:]
-        lat.absorb(d - 1, gam, defect(gam), lat.divisor(d - 1)[2])
+        lat.absorb(d - 1, gam, defect(gam), params.defined[0, d - 1:])
     return _factor(lat.g[:, :d], params.diag, lat.dr)
 
 

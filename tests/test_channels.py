@@ -303,6 +303,12 @@ def test_capacity_identity_infinite():
     assert capacity_D(choi_from_map(identity_channel(2))) == math.inf
 
 
+def test_capacity_is_positive_zero_at_unit_determinant():
+    for c in (ChoiMatrix(1, 1, np.array([[1.0]])), ChoiMatrix(2, 2, np.eye(4))):
+        cap = capacity_D(c)
+        assert cap == 0.0 and not math.copysign(1.0, cap) < 0
+
+
 def test_capacity_matches_determinant():
     rng = np.random.default_rng(42)
     for _ in range(25):

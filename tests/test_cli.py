@@ -365,6 +365,27 @@ def test_channel_dim_mismatch_exit1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("din, dout, flag", [("-2", "-2", "--din"), ("0", "2", "--din"),
+                                             ("2", "0", "--dout"), ("1", "-4", "--dout")])
+def test_channel_nonpositive_dims_exit1(tmp_path, capsys, din, dout, flag):
+    """-2 x -2 = 4 would pass the shape check of a 4 x 4 file."""
+    _write_matrix(tmp_path / "c.json", 0.5 * np.eye(4))
+    assert main(["channel", "--choi", str(tmp_path / "c.json"),
+                 "--din", din, "--dout", dout, "--capacity"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must be positive")
+
+
+@pytest.mark.parametrize("n, choi", [(1, [[1.0]]), (2, np.eye(4))])
+def test_channel_capacity_zero_is_positive_zero(tmp_path, capsys, n, choi):
+    """det S = 1 gives capacity +0.0, printed as 0.0 (not -0.0)."""
+    _write_matrix(tmp_path / "c.json", np.array(choi))
+    assert main(["channel", "--choi", str(tmp_path / "c.json"),
+                 "--din", str(n), "--dout", str(n), "--capacity"]) == 0
+    assert capsys.readouterr().out == '{\n  "capacity": 0.0\n}\n'
+
+
 # ---------------------------------------------------------------------------
 # separability
 

@@ -78,6 +78,26 @@ def test_rank_one_nodes_on_the_circle():
     assert accepted >= 177
 
 
+def test_rank_deficient_input_accepted_with_inverse_masks():
+    """Every node's mask is decided when the recursion reaches it, by the
+    divisor rule of the direct solve, so a masked node forms no noise ratio:
+    rank-one and rank-d/4 input is accepted, with the masks of ``inverse``."""
+    rng = np.random.default_rng(88)
+    cases = []
+    for d in range(2, 10):
+        for _ in range(25):
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            cases.append(np.outer(v, v.conj()))
+    for d in (16, 32):
+        for _ in range(3):
+            x = rng.standard_normal((d // 4, d)) + 1j * rng.standard_normal((d // 4, d))
+            cases.append(x.conj().T @ x)
+    for s in cases:
+        p1, p2 = inverse(s), displacement_inverse(s)
+        assert np.array_equal(p1.defined, p2.defined)
+        assert maxnorm(forward(p2) - s) <= 1e-9 * maxnorm(s)
+
+
 def test_rejects_indefinite():
     with pytest.raises(NotPSDError):
         displacement_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
