@@ -12,7 +12,7 @@ the witness each produces:
              infeasible condition when entangled.
 
 The two verdicts must agree (the package raises an internal consistency
-error if they ever disagree after grid refinement).
+error if they ever disagree).
 
 Everything prints to stdout; run with no arguments.
 """

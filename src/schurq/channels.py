@@ -80,6 +80,12 @@ KRAUS_CONVENTION = ("Phi(rho) = sum_n K[n] @ rho @ K[n]*; "
 # Containers
 
 
+def _check_dims(d_in: int, d_out: int) -> None:
+    for name, value in (("d_in", d_in), ("d_out", d_out)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class LinearMap:
     """Linear map between matrix spaces, stored by its action on units.
@@ -93,6 +99,7 @@ class LinearMap:
     action: np.ndarray
 
     def __post_init__(self):
+        _check_dims(self.d_in, self.d_out)
         if self.action.shape != (self.d_out ** 2, self.d_in ** 2):
             raise ValueError(
                 f"action shape {self.action.shape} does not match "
@@ -108,6 +115,7 @@ class ChoiMatrix:
     s: np.ndarray
 
     def __post_init__(self):
+        _check_dims(self.d_in, self.d_out)
         n = self.d_in * self.d_out
         if self.s.shape != (n, n):
             raise ValueError(f"Choi matrix shape {self.s.shape}, expected {(n, n)}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -63,6 +64,23 @@ def load_json(path: str) -> dict:
     return obj
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer; booleans, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, what: str) -> float:
+    """A JSON number (integer or float); booleans and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} is not numeric: {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{what} is not finite") from exc
+
+
 # ---------------------------------------------------------------------------
 # MatrixFile
 
@@ -79,8 +97,8 @@ def matrix_to_obj(m: np.ndarray) -> dict:
 
 def matrix_from_obj(obj: dict) -> np.ndarray:
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        rows = _integer(obj["rows"], "rows")
+        cols = _integer(obj["cols"], "cols")
         data = obj["data"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix file: {exc}") from exc
@@ -93,10 +111,8 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
     for idx, pair in enumerate(data):
         if (not isinstance(pair, list)) or len(pair) != 2:
             raise ValueError(f"matrix entry {idx} is not an [re, im] pair")
-        try:
-            re, im = float(pair[0]), float(pair[1])
-        except TypeError as exc:
-            raise ValueError(f"matrix entry {idx} is not numeric: {exc}") from exc
+        re = _real(pair[0], f"matrix entry {idx}")
+        im = _real(pair[1], f"matrix entry {idx}")
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValueError(f"matrix entry {idx} is not finite")
         out[idx] = complex(re, im)
@@ -126,7 +142,7 @@ def params_to_obj(p: SchurParams) -> dict:
 def params_from_obj(obj: dict) -> SchurParams:
     """Parse a ParamsFile; its values must pass :meth:`SchurParams.validate`."""
     try:
-        d = int(obj["dim"])
+        d = _integer(obj["dim"], "dim")
         diag = obj["diag"]
         entries = obj["gamma"]
     except (KeyError, TypeError) as exc:
@@ -135,10 +151,7 @@ def params_from_obj(obj: dict) -> SchurParams:
         raise ValueError("dim must be positive")
     if not isinstance(diag, list) or len(diag) != d:
         raise ValueError(f"diag must have {d} entries")
-    try:
-        dvec = np.array([float(x) for x in diag], dtype=float)
-    except TypeError as exc:
-        raise ValueError(f"malformed diag entry: {exc}") from exc
+    dvec = np.array([_real(x, f"diag entry {i}") for i, x in enumerate(diag)])
     expected = d * (d - 1) // 2
     if not isinstance(entries, list) or len(entries) != expected:
         raise ValueError(f"gamma must list all {expected} upper pairs")
@@ -147,9 +160,10 @@ def params_from_obj(obj: dict) -> SchurParams:
     seen = set()
     for ent in entries:
         try:
-            k = int(ent["k"])
-            j = int(ent["j"])
-            val = complex(float(ent["re"]), float(ent["im"]))
+            k = _integer(ent["k"], "gamma entry k")
+            j = _integer(ent["j"], "gamma entry j")
+            val = complex(_real(ent["re"], f"gamma entry ({k}, {j}) re"),
+                          _real(ent["im"], f"gamma entry ({k}, {j}) im"))
             flag = ent["defined"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed gamma entry: {exc}") from exc

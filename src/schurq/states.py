@@ -35,9 +35,8 @@ Conventions worth knowing:
   partial transpose, and a feasibility search for auxiliary
   contractions ``(h14, h13, h24)`` that must satisfy the band equations
   of the partially transposed state together with a system of triangle
-  inequalities.  The routes must agree; a persistent disagreement after
-  grid refinement raises :class:`ConsistencyError` instead of returning
-  a verdict.
+  inequalities.  The routes must agree; a disagreement raises
+  :class:`ConsistencyError` instead of returning a verdict.
 """
 
 from __future__ import annotations
@@ -346,26 +345,6 @@ def is_separable_ppt(state: DensityState,
     return SeparabilityVerdict(separable, "ppt", witness)
 
 
-# First-level polar grid of the parameter separability search, and how many
-# times it is refined (doubling both counts) on failure.
-_GRID_ANGLES = 64
-_GRID_RADII = 32
-_GRID_REFINE = 1
-
-
-@functools.cache
-def _grid_points(level: int) -> np.ndarray:
-    """Polar grid over the closed unit disc (origin included once) of
-    refinement ``level`` (read-only)."""
-    angles, radii = _GRID_ANGLES * 2 ** level, _GRID_RADII * 2 ** level
-    r = np.linspace(0.0, 1.0, radii)[1:]
-    th = 2.0 * np.pi * np.arange(angles) / angles
-    z = (r[:, None] * np.exp(1.0j * th)[None, :]).ravel()
-    grid = np.concatenate([[0.0 + 0.0j], z])
-    grid.flags.writeable = False
-    return grid
-
-
 def _defects(zs: list[complex]) -> list[float]:
     """:func:`~schurq.params.defect` of each number as numpy computes it on a
     scalar: numpy's complex modulus (not libm ``hypot``, which ``abs``
@@ -374,14 +353,13 @@ def _defects(zs: list[complex]) -> list[float]:
     return [math.sqrt(max(1.0 - mod ** 2, 0.0)) for mod in mods]
 
 
-def _disc_candidates(target: complex, coeff: float, grid: np.ndarray,
-                     ftol: float, cap: int) -> list[complex]:
-    """Unit-disc candidates h with |target - coeff*h| <= ftol.
+def _disc_candidates(target: complex, coeff: float, ftol: float) -> list[complex]:
+    """Unit-disc candidates for h in the band equation target = coeff*h.
 
-    The forced value target/coeff (clamped to the boundary) and the
-    convention value 0 always head the list; surviving grid points
-    follow, capped.  The final predicate re-checks every candidate, so
-    the list only needs to cover, not certify.
+    The forced value target/coeff (clamped to the boundary) when
+    ``coeff > ftol``, then the convention value 0, which is the only
+    candidate when h is free.  The final predicate re-checks every
+    candidate, so the list only proposes, never certifies.
     """
     out: list[complex] = []
     if coeff > ftol:
@@ -390,8 +368,6 @@ def _disc_candidates(target: complex, coeff: float, grid: np.ndarray,
         mod = abs(forced)
         out.append(forced * (1.0 / mod) if mod > 1.0 else forced)
     out.append(0.0 + 0.0j)
-    ok = grid[np.abs(target - coeff * grid) <= ftol]
-    out.extend(ok[:cap].tolist())
     return out
 
 
@@ -407,11 +383,11 @@ def is_separable_params(state: DensityState) -> SeparabilityVerdict:
     * solvability of the final band (entry rho23) inside the disc, and
     * the triangle inequalities coupling them to the state parameters.
 
-    Feasible points, when they exist, cluster at the values forced by
-    the band equations, which always enter the candidate list alongside
-    the polar grid (refined ``_GRID_REFINE`` times on failure).  Cells are
-    evaluated independently, so the verdict is a pure "any cell
-    feasible".  The verdict is cross-checked against
+    Each auxiliary contraction is tried at the value its band equation
+    forces (clamped onto the unit circle) and at the convention value 0,
+    the only candidate when the equation leaves it free; that is at most
+    eight points.  Points are evaluated independently, so the verdict is
+    a pure "any point feasible".  The verdict is cross-checked against
     :func:`is_separable_ppt`; disagreement raises
     :class:`ConsistencyError`.
     """
@@ -457,37 +433,28 @@ def is_separable_params(state: DensityState) -> SeparabilityVerdict:
             return False
         return a * abs(bracket) <= b + a * d12 * q13 * q24 * d34 + ftol
 
-    def search(grid: np.ndarray) -> tuple[complex, complex, complex] | None:
-        c14 = _disc_candidates(rho14, b, grid, ftol, cap=12)
+    def search() -> bool:
+        c14 = _disc_candidates(rho14, b, ftol)
         for h14, q14 in zip(c14, _defects(c14)):
-            c13 = _disc_candidates(rho13 - s13 * c12 * h14,
-                                   s13 * d12 * q14, grid, ftol, cap=8)
-            c24 = _disc_candidates(rho24 - s24 * h14 * c34,
-                                   s24 * q14 * d34, grid, ftol, cap=8)
+            c13 = _disc_candidates(rho13 - s13 * c12 * h14, s13 * d12 * q14, ftol)
+            c24 = _disc_candidates(rho24 - s24 * h14 * c34, s24 * q14 * d34, ftol)
             q13s, q24s = _defects(c13), _defects(c24)
             for h13, q13 in zip(c13, q13s):
                 for h24, q24 in zip(c24, q24s):
                     if feasible(h14, q14, h13, q13, h24, q24):
-                        return h14, h13, h24
-        return None
+                        return True
+        return False
 
     if first_margin < -ftol:
         verdict = SeparabilityVerdict(
             False, "param-inequalities",
             f"necessary inequality violated by {-first_margin:.3e}")
-        level = 0
+    elif search():
+        verdict = SeparabilityVerdict(True, "param-inequalities", None)
     else:
-        point = None
-        for level in range(_GRID_REFINE + 1):
-            point = search(_grid_points(level))
-            if point is not None:
-                break
-        if point is not None:
-            verdict = SeparabilityVerdict(True, "param-inequalities", None)
-        else:
-            verdict = SeparabilityVerdict(
-                False, "param-inequalities",
-                f"no feasible (h14, h13, h24) after {level + 1} grid levels")
+        verdict = SeparabilityVerdict(
+            False, "param-inequalities",
+            "no feasible (h14, h13, h24) at the forced values")
 
     ppt = is_separable_ppt(state, (2, 2))
     if ppt.separable != verdict.separable:
@@ -495,7 +462,7 @@ def is_separable_params(state: DensityState) -> SeparabilityVerdict:
             "parameter-inequality verdict "
             f"({'separable' if verdict.separable else 'entangled'}) "
             "disagrees with PPT "
-            f"(witness {ppt.witness:.3e}) beyond grid refinement")
+            f"(witness {ppt.witness:.3e})")
     return verdict
 
 

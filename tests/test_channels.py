@@ -125,6 +125,19 @@ def test_linear_map_validates_action_shape():
         ChoiMatrix(2, 2, np.zeros((3, 3)))
 
 
+def test_containers_reject_nonpositive_dimensions():
+    """(-2)*(-2) = 4 matches a 4x4 Choi matrix, and (-1)^2 = 1 a 1x1 action:
+    the shape check alone lets negative dimensions through."""
+    with pytest.raises(ValueError, match="d_in must be >= 1"):
+        ChoiMatrix(-2, -2, np.eye(4))
+    with pytest.raises(ValueError, match="d_out must be >= 1"):
+        ChoiMatrix(1, 0, np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="d_in must be >= 1"):
+        LinearMap(-1, -1, np.eye(1))
+    with pytest.raises(ValueError, match="d_out must be >= 1"):
+        LinearMap(2, -2, np.eye(4))
+
+
 # ---------------------------------------------------------------------------
 # Adjoint and structural checks
 

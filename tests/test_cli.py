@@ -114,6 +114,30 @@ def test_params_file_rejects_bad_content():
         bad_flag["gamma"][0]["defined"] = flag
         with pytest.raises(ValueError, match="defined must be true or false"):
             params_from_obj(bad_flag)
+    # Sizes and indices are JSON integers, values JSON numbers: nothing is
+    # truncated or coerced.
+    for path, value, reason in (
+            (("dim",), 2.9, "dim must be an integer"),
+            (("dim",), True, "dim must be an integer"),
+            (("dim",), "2", "dim must be an integer"),
+            (("gamma", 0, "k"), 1.5, "k must be an integer"),
+            (("gamma", 0, "j"), True, "j must be an integer"),
+            (("gamma", 0, "re"), "0.5", "re is not numeric"),
+            (("gamma", 0, "im"), False, "im is not numeric"),
+            (("diag", 1), "1.0", "diag entry 1 is not numeric"),
+            (("diag", 0), True, "diag entry 0 is not numeric")):
+        bad = json.loads(json.dumps(base))
+        *parents, last = path
+        node = bad
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        with pytest.raises(ValueError, match=reason):
+            params_from_obj(bad)
+    ints = json.loads(json.dumps(base))
+    ints["diag"] = [1, 1]
+    ints["gamma"][0]["re"] = 0
+    assert params_from_obj(ints).diag.tolist() == [1.0, 1.0]
 
 
 def test_params_file_accepts_what_validate_accepts():
@@ -178,14 +202,29 @@ def test_parametrize_usage_errors(tmp_path, capsys):
 
 
 def test_parametrize_non_numeric_entry_exit1(tmp_path, capsys):
-    """A null or list component is a file error: one line on stderr, exit 1."""
-    for pair in ([None, 0.0], [0.0, [1.0]]):
+    """A component that is not a JSON number (null, list, string, boolean) or
+    a size that is not a JSON integer is a file error: one line on stderr,
+    exit 1."""
+    for pair in ([None, 0.0], [0.0, [1.0]], ["2", True], [True, 0.0], [0.0, "0"]):
         obj = {"rows": 1, "cols": 1, "data": [pair]}
         write_text(str(tmp_path / "m.json"), dumps_canonical(obj))
         assert main(["parametrize", "--in", str(tmp_path / "m.json"),
                      "--out", str(tmp_path / "p.json")]) == 1, pair
         err = capsys.readouterr().err
         assert "matrix entry 0 is not numeric" in err and err.count("\n") == 1, err
+    # Sizes are JSON integers: 1.7 is not truncated, "1" is not parsed.
+    for rows, cols, reason in ((1.7, 1, "rows"), (1, "1", "cols"), (True, 1, "rows")):
+        obj = {"rows": rows, "cols": cols, "data": [[2.0, 0.0]]}
+        write_text(str(tmp_path / "m.json"), dumps_canonical(obj))
+        assert main(["parametrize", "--in", str(tmp_path / "m.json"),
+                     "--out", str(tmp_path / "p.json")]) == 1, (rows, cols)
+        err = capsys.readouterr().err
+        assert f"{reason} must be an integer" in err and err.count("\n") == 1, err
+    # Integer components are JSON numbers and stay accepted.
+    write_text(str(tmp_path / "m.json"),
+               dumps_canonical({"rows": 1, "cols": 1, "data": [[2, 0]]}))
+    assert main(["parametrize", "--in", str(tmp_path / "m.json"),
+                 "--out", str(tmp_path / "p.json")]) == 0
 
 
 def test_pipeline_identity_both_methods(tmp_path):
@@ -526,18 +565,22 @@ def test_golden_random_seed(tmp_path):
     assert out1.read_bytes() == (GOLDEN / "random_psd_seed42.json").read_bytes()
 
 
+# Subprocesses import the package from the sources, installed or not.
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+
+
 def test_console_entry_subprocess(tmp_path):
     """One end-to-end run through the real interpreter boundary."""
     mfile = tmp_path / "m.json"
     r = subprocess.run(
         [sys.executable, "-m", "schurq.cli", "random", "--kind", "psd",
          "--dim", "2", "--seed", "1", "--out", str(mfile)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=SRC_ENV)
     assert r.returncode == 0 and r.stdout == ""
     r = subprocess.run(
         [sys.executable, "-m", "schurq.cli", "parametrize",
          "--in", str(mfile), "--out", str(tmp_path / "p.json")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=SRC_ENV)
     assert r.returncode == 0
     assert (tmp_path / "p.json").exists()
 
@@ -548,9 +591,8 @@ DEMOS = Path(__file__).parent.parent / "demos"
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
 def test_demo_runs(demo):
     """Every demo script runs to completion against the package sources."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
     r = subprocess.run([sys.executable, str(DEMOS / demo)],
-                       capture_output=True, text=True, env=env)
+                       capture_output=True, text=True, env=SRC_ENV)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip()
 

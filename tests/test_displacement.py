@@ -105,3 +105,30 @@ def test_rejects_indefinite():
         displacement_inverse(np.diag([1.0, -1.0]))
     with pytest.raises(NotPSDError):
         displacement_inverse(np.array([[0.0, 0.5], [0.5, 1.0]]))
+    # Rank d/2 with 1e-3 added to both corner entries is indefinite at first
+    # order, and it reaches the two generator checks of the recursion.  The
+    # first hit of each reason at d = 3 and d = 9 is pinned by entry and band.
+    rng = np.random.default_rng(8001)
+    first = {}
+    for d in range(3, 10):
+        for _ in range(60):
+            s = _rank_half_corner(rng, d)
+            assert np.linalg.eigvalsh(s)[0] < -1e-6
+            with pytest.raises(NotPSDError) as info:
+                displacement_inverse(s)
+            err = info.value
+            assert err.reason in ("generator signature violated",
+                                  "inconsistent boundary generator"), err
+            first.setdefault((err.reason, d), (err.entry, err.band))
+    assert first[("inconsistent boundary generator", 3)] == ((0, 1), 1)
+    assert first[("generator signature violated", 3)] == ((0, 2), 2)
+    assert first[("inconsistent boundary generator", 9)] == ((0, 4), 4)
+    assert first[("generator signature violated", 9)] == ((0, 8), 8)
+
+
+def _rank_half_corner(rng, d):
+    x = rng.normal(size=(d, d // 2)) + 1j * rng.normal(size=(d, d // 2))
+    s = x @ x.conj().T
+    s[0, d - 1] += 1e-3
+    s[d - 1, 0] += 1e-3
+    return s

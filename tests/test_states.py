@@ -4,9 +4,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from schurq.linalg import NotPSDError, kron, maxnorm, reference_eigenvalues
+from schurq import states
+from schurq.linalg import ConsistencyError, NotPSDError, kron, maxnorm, reference_eigenvalues
 from schurq.params import SchurParams, forward
 from schurq.states import (
+    SeparabilityVerdict,
     bell_state,
     entropy_E,
     entropy_E0,
@@ -590,6 +592,64 @@ def test_params_separability_agrees_with_ppt():
         got = is_separable_params(st)
         want = is_separable_ppt(st)
         assert got.separable == want.separable
+    # Zero diagonal entries leave some band equation without a coefficient
+    # (coeff <= ftol), so its auxiliary contraction is free.
+    for rho in _zero_diagonal_products(rng, 40):
+        st = state_from_matrix(rho)
+        assert is_separable_params(st).separable, np.round(rho, 3)
+        assert is_separable_ppt(st).separable
+    for rho in _x_states(rng, 60):
+        st = state_from_matrix(rho)
+        assert is_separable_params(st).separable == is_separable_ppt(st).separable
+
+
+def _zero_diagonal_products(rng, n):
+    """Mixtures of one to three products; each qubit factor is |0><0|, |1><1|
+    or a random pure state, and the first term is |b><b| (x) |c><c| for
+    basis states b, c, so that some diagonal entries vanish."""
+    basis = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+    out = []
+    for _ in range(n):
+        rho = np.kron(basis[rng.integers(2)], basis[rng.integers(2)])
+        for _ in range(rng.integers(0, 3)):
+            fa, fb = (basis[rng.integers(2)] if rng.random() < 0.5
+                      else _random_pure(rng, 2) for _ in range(2))
+            rho = rho + rng.uniform(0.2, 1.0) * np.kron(fa, fb)
+        out.append(rho / rho.trace().real)
+    return out
+
+
+def _x_states(rng, n):
+    """Two-qubit X-states (nonzero entries on the diagonal and anti-diagonal
+    only), some with zero diagonal entries, both separable and entangled."""
+    out = []
+    for _ in range(n):
+        r = rng.uniform(0.0, 1.0, size=4) * (rng.random(4) > 0.2)
+        r[rng.integers(4)] += 0.5
+        r /= r.sum()
+        rho = np.diag(r).astype(complex)
+        for k, j in ((0, 3), (1, 2)):
+            z = (math.sqrt(r[k] * r[j]) * rng.uniform(0.0, 1.0)
+                 * np.exp(2j * np.pi * rng.random()))
+            rho[k, j], rho[j, k] = z, np.conj(z)
+        out.append(rho)
+    return out
+
+
+@pytest.mark.parametrize("rho", [np.eye(4) / 4, bell_state().rho],
+                         ids=["separable", "entangled"])
+def test_params_separability_disagreement_raises(rho, monkeypatch):
+    """A PPT verdict opposite to the parameter search raises instead of
+    returning either verdict."""
+    real_ppt = states.is_separable_ppt
+
+    def flipped(state, dims=(2, 2)):
+        v = real_ppt(state, dims)
+        return SeparabilityVerdict(not v.separable, v.method, v.witness)
+
+    monkeypatch.setattr(states, "is_separable_ppt", flipped)
+    with pytest.raises(ConsistencyError, match="disagrees with PPT"):
+        is_separable_params(state_from_matrix(rho))
 
 
 def test_params_separability_werner_near_flip():
