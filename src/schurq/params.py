@@ -29,8 +29,19 @@ extraction (and every entry of the qubit normal form's closed forms).  A
 masked window does not move the lattice (its parameter is 0, its defect 1),
 and a band of zero parameters skips the update.  Past band r of a generic
 rank-r input every window is masked (a dead band), so extraction and synthesis
-update the lattice for bands 1..r only.  The lattice's zero signs are
-internal: a skipped update might have turned a -0.0 into +0.0.
+update the lattice for bands 1..r only.
+
+The removal writes only what a later read needs.  After band b, ``f[i]`` is
+read only at columns >= i+b+1 (later covariances) and ``g[j]`` only at
+columns >= j+1 (later updates, and the strict upper triangle that yields
+``G``); an update mixes ``f[i]`` with ``g[i+b]``, so the read set persists.
+Removing window [k, k+b]'s covariance subtracts it times x_k's coefficient
+from column k+b (rows ``f[i]``, i <= k, and ``g``), and its conjugate times
+x_{k+b}'s coefficient from column k.  Only rows ``f[i]``, i > k, and
+``g[j]``, j >= k+b, carry x_{k+b}, so the column-k write lands left of every
+later read: a dead store, not made.  Zero signs carry no information: a
+skipped update or dead store can flip the sign of a zero, in the lattice
+and in a parameter read off an exactly-zero covariance.
 """
 
 from __future__ import annotations
@@ -282,7 +293,9 @@ def inverse(s: np.ndarray) -> SchurParams:
 
 def _extract(s: np.ndarray) -> tuple[np.ndarray, SchurParams, _Lattice]:
     """:func:`inverse`, also returning the Hermitian average of ``s`` and the
-    ``[S | I]`` lattice with every band absorbed but the last."""
+    ``[S | I]`` lattice with every band absorbed but the last.  Only its
+    read set (module docstring) is exact: masked covariances are not
+    removed from the columns left of it."""
     s, lvec, scale = _preamble(s)
     d = s.shape[0]
     gamma, defined = np.zeros((d, d), dtype=np.complex128), ~_lower(d)
@@ -296,11 +309,10 @@ def _extract(s: np.ndarray) -> tuple[np.ndarray, SchurParams, _Lattice]:
             k, reason, value = failure
             raise NotPSDError(reason, entry=(k, k + b), band=b, value=value)
         if np.count_nonzero(masked):  # go on from S minus the masked covariances
-            k, a = np.flatnonzero(masked), cov[masked]
-            for rows in (lat.f, lat.g):
-                rows[:, k + b] -= rows[:, d + k] * a
-                rows[:, k] -= rows[:, d + k + b] * np.conj(a)
-            defined[k, k + b] = False
+            n, a = d - b, np.where(masked, cov, 0.0)
+            lat.f[:n, b:d] -= lat.f[:n, d:d + n] * a
+            lat.g[:, b:d] -= lat.g[:, d:d + n] * a
+            _band_diagonal(defined, b)[:] = ~masked
         gamma_flat[b::d + 1][:d - b] = gam
         if b < d - 1:
             lat.absorb(b, gam, dg, ~masked)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurq.displacement import displacement_inverse
-from schurq.linalg import maxnorm
+from schurq.linalg import NotPSDError, maxnorm
 from schurq.params import inverse
 
 ROUTES = [inverse, displacement_inverse]
@@ -82,3 +82,17 @@ def test_scaling_below_the_absolute_divisor_threshold():
     p, q = inverse(s), inverse(1e-20 * s)
     assert _all_defined(p) and _all_defined(q)
     assert maxnorm(q.gamma - p.gamma) <= GAMMA_TOL
+
+
+@pytest.mark.xfail(strict=True, raises=NotPSDError,
+                   reason="ROADMAP item 1 (near-boundary corpus): a positive-definite "
+                   "matrix within about 1e-11 of rank 1 fails the disc allowance")
+def test_positive_definite_near_rank_one_is_accepted():
+    rng = np.random.default_rng(1009)
+    x = rng.standard_normal((1, 9)) + 1j * rng.standard_normal((1, 9))
+    y = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    s = x.conj().T @ x + 1e-11 * (y.conj().T @ y)
+    s = 0.5 * (s + s.conj().T)
+    assert np.linalg.eigvalsh(s)[0] > 1e-12
+    np.linalg.cholesky(s)
+    inverse(s)  # raises 'parameter outside the unit disc' at (1, 7), band 6

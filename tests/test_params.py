@@ -14,6 +14,8 @@ from schurq.linalg import (
 )
 from schurq.params import (
     SchurParams,
+    _extract,
+    _read_factor,
     cholesky_factor,
     det_from_params,
     forward,
@@ -303,6 +305,25 @@ def test_rank_deficient_bands_are_dead(d, monkeypatch):
         assert maxnorm(rebuilt - s) <= 1e-12 * maxnorm(s), r
 
 
+def test_lattice_factor_matches_synthesized_factor_near_rank_deficiency():
+    """The Kraus route reads G off the extraction lattice; it must equal the
+    synthesized cholesky_factor of the same parameters.  Near rank r most
+    windows past band r are masked, so this checks that the masked
+    covariances left the lattice's g rows (the strict upper triangle that
+    _read_factor reads) as they leave S."""
+    rng = np.random.default_rng(90)
+    worst = 0.0
+    for d in (4, 6, 9):
+        for r in (1, d // 2):
+            for _ in range(10):
+                x = rng.normal(size=(r, d)) + 1j * rng.normal(size=(r, d))
+                y = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                s = x.conj().T @ x + 1e-13 * (y.conj().T @ y)
+                _, p, lat = _extract(s)  # raises NotPSDError if rejected
+                worst = max(worst, maxnorm(_read_factor(p, lat) - cholesky_factor(p)))
+    assert worst <= 1e-6
+
+
 def _negative_zeros(s):
     """``s`` with every zero real or imaginary part made -0.0."""
     s = np.array(s, dtype=complex)
@@ -394,17 +415,20 @@ def test_is_psd_via_params():
 
 
 def test_memory_stays_quadratic():
-    """No O(d^4) table: inverse and forward at d=64 peak under 2 MB."""
-    s = _large_psd(np.random.default_rng(62), 64, 128)
-    p = inverse(s)
-    for call, arg in ((inverse, s), (forward, p)):
-        tracemalloc.start()
-        try:
-            call(arg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2 ** 20
+    """No O(d^4) table: inverse, forward and cholesky_factor at d=64 peak
+    under 2 MB, at full rank and on the rank-deficient path (dead bands)."""
+    rng = np.random.default_rng(62)
+    for rank in (128, 16, 1):
+        s = _large_psd(rng, 64, rank)
+        p = inverse(s)
+        for call, arg in ((inverse, s), (forward, p), (cholesky_factor, p)):
+            tracemalloc.start()
+            try:
+                call(arg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2 ** 20, (rank, call.__name__)
 
 
 def test_is_psd_agrees_with_eigen_oracle():
