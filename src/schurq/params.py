@@ -14,7 +14,7 @@ step scales a residual variance by ``1 - |gamma|^2``, so the residuals'
 covariance ``a`` is gamma times ``L_k L_j dl[k] dr[j]``, the divisor of the
 entry expansion.  ``f -= (a / var_g) g``, ``g -= (conj(a) / var_f) f`` moves
 every window one step out.  Synthesis carries coefficient rows and sets ``S_kj
-= gamma * divisor - f[k] . S[:, j]`` while ``S_kj`` is 0; extraction also
+= gamma * divisor - f[k] . S[:, j]`` while ``S_kj`` is 0; extraction
 carries the rows times ``S`` (the Schur form, accurate on ill-conditioned
 input) and reads ``a`` off an entry.  Finally ``g[j]`` is x_j's residual given
 x_0..x_{j-1}, which yields ``G``.  O(d^3) time and O(d^2) memory in all.
@@ -29,7 +29,9 @@ extraction (and every entry of the qubit normal form's closed forms).  A
 masked window does not move the lattice (its parameter is 0, its defect 1),
 and a band of zero parameters skips the update.  Past band r of a generic
 rank-r input every window is masked (a dead band), so extraction and synthesis
-update the lattice for bands 1..r only.
+update the lattice for bands 1..r only.  A dead band moves no defect
+product, so from it on every divisor is known: when all are degenerate (a
+dead tail), extraction checks the whole tail in one step.
 
 The removal writes only what a later read needs.  After band b, ``f[i]`` is
 read only at columns >= i+b+1 (later covariances) and ``g[j]`` only at
@@ -42,6 +44,13 @@ x_{k+b}'s coefficient from column k.  Only rows ``f[i]``, i > k, and
 later read: a dead store, not made.  Zero signs carry no information: a
 skipped update or dead store can flip the sign of a zero, in the lattice
 and in a parameter read off an exactly-zero covariance.
+
+Only these removals read coefficients, so extraction carries the ``S`` rows
+alone and logs its updates; when a removal first needs them, it replays the
+log on the identity and appends the coefficient rows, as ``[S | I]`` would
+carry them (the update is elementwise per column).  Input with no masked
+window never pays for them.  In a dead tail no update runs, so ``g`` is read
+only by :func:`_read_factor`, which makes the tail's removals from ``g``.
 """
 
 from __future__ import annotations
@@ -198,13 +207,18 @@ class _Lattice:
     """Before band b, ``f[k]``, ``g[k+b]`` are window [k, k+b]'s residual rows.
 
     The lattice takes over ``rows``: the identity gives coefficient rows,
-    ``[S | I]`` covariances with every x_l followed by coefficients (so
-    ``f[k, k+b]`` is the window's covariance).  One linear update serves both.
+    ``S`` covariances with every x_l (so ``f[k, k+b]`` is the window's
+    covariance).  With a ``log``, every update is recorded until
+    :meth:`widen` replays the log on the identity and appends its
+    coefficient rows: ``[S | I]``, every x_l followed by coefficients.  One
+    linear update serves both.  ``tail`` is the first band of a dead tail
+    whose removals from ``g`` are pending (:func:`_dead_tail`), or None.
     """
 
-    def __init__(self, lvec: np.ndarray, rows: np.ndarray):
+    def __init__(self, lvec: np.ndarray, rows: np.ndarray, log: list | None = None):
         self.lvec, self.f, self.g = lvec, rows, rows.copy()
         self.dl, self.dr = np.ones(lvec.shape[0]), np.ones(lvec.shape[0])
+        self.log, self.tail = log, None
 
     def window(self, b: int) -> tuple[np.ndarray, np.ndarray]:
         """``(L_k L_{k+b}, dl[k] dr[k+b])`` of every window of band b; their
@@ -224,12 +238,44 @@ class _Lattice:
             gam, sl, sr = np.where(live, gam, 0.0), np.where(live, sl, 1.0), \
                 np.where(live, sr, 1.0)
         cf, cg = gam * (sl / sr), np.conj(gam) * (sr / sl)
-        f, g = self.f[:n], self.g[b:]
-        f_out = f - cf[:, None] * g
-        g -= cg[:, None] * f
-        f[...] = f_out
+        if self.log is not None:
+            self.log.append((b, cf, cg))
+        _update(self.f[:n], self.g[b:], cf, cg)
         self.dl[:n] *= dg
         self.dr[b:] *= dg
+
+    def widen(self) -> None:
+        """Append the coefficient rows, once: the logged updates replayed, in
+        order, on the identity.  Before band b, f[k] and g[k+b] have
+        coefficients only on x_k..x_{k+b-1} and x_{k+1}..x_{k+b}, and the
+        update is elementwise per column, so the replay moves x_k..x_{k+b}
+        alone (the other coefficients stay +0, as they do in an ``[S | I]``
+        lattice) and gives exactly the rows that lattice would carry."""
+        if self.log is None:
+            return
+        d = self.lvec.shape[0]
+        eye = np.eye(d, dtype=np.complex128)
+        self.f, self.g = np.concatenate((self.f, eye), axis=1), \
+            np.concatenate((self.g, eye), axis=1)
+        for b, cf, cg in self.log:
+            n = d - b
+            _update(_skew(self.f, 0, d, n, b + 1), _skew(self.g, b, d, n, b + 1), cf, cg)
+        self.log = None
+
+
+def _update(f: np.ndarray, g: np.ndarray, cf: np.ndarray, cg: np.ndarray) -> None:
+    """``f -= cf g``, ``g -= cg f`` row by row, both from the rows as given."""
+    cf_g = cf[:, None] * g
+    g -= cg[:, None] * f
+    f -= cf_g
+
+
+def _skew(m: np.ndarray, row: int, col: int, n: int, w: int) -> np.ndarray:
+    """Writable (n, w) view ``v[k, i] = m[row+k, col+k+i]`` of a C-contiguous
+    array; the caller keeps it inside ``m``."""
+    s0, s1 = m.strides
+    return np.ndarray((n, w), m.dtype, buffer=m, offset=row * s0 + col * s1,
+                      strides=(s0 + s1, s1))
 
 
 def _band_diagonal(m: np.ndarray, b: int) -> np.ndarray:
@@ -293,27 +339,32 @@ def inverse(s: np.ndarray) -> SchurParams:
 
 def _extract(s: np.ndarray) -> tuple[np.ndarray, SchurParams, _Lattice]:
     """:func:`inverse`, also returning the Hermitian average of ``s`` and the
-    ``[S | I]`` lattice with every band absorbed but the last.  Only its
-    read set (module docstring) is exact: masked covariances are not
-    removed from the columns left of it."""
+    lattice with every band absorbed but the last.  Only its read set
+    (module docstring) is exact: masked covariances are not removed from
+    the columns left of it, and a dead tail's removals from ``g`` are
+    pending until :func:`_read_factor`."""
     s, lvec, scale = _preamble(s)
     d = s.shape[0]
     gamma, defined = np.zeros((d, d), dtype=np.complex128), ~_lower(d)
-    lat = _Lattice(lvec, np.concatenate((s, np.eye(d, dtype=np.complex128)), axis=1))
-    cov_flat, gamma_flat = lat.f.reshape(-1), gamma.reshape(-1)
+    lat = _Lattice(lvec, s.copy(), log=[])
+    gamma_flat = gamma.reshape(-1)
     for b in range(1, d):
         ll, dprod = lat.window(b)
-        cov = cov_flat[b::2 * d + 1][:d - b]
+        cov = _band_diagonal(lat.f, b)
         _, gam, dg, masked, failure = _entry_step(cov, ll, dprod, scale)
         if failure is not None:
             k, reason, value = failure
             raise NotPSDError(reason, entry=(k, k + b), band=b, value=value)
-        if np.count_nonzero(masked):  # go on from S minus the masked covariances
+        gamma_flat[b::d + 1][:d - b] = gam
+        nmasked = np.count_nonzero(masked)
+        if nmasked == d - b and _dead_tail(lat, b, scale, defined):
+            break
+        if nmasked:  # go on from S minus the masked covariances
+            lat.widen()
             n, a = d - b, np.where(masked, cov, 0.0)
             lat.f[:n, b:d] -= lat.f[:n, d:d + n] * a
             lat.g[:, b:d] -= lat.g[:, d:d + n] * a
             _band_diagonal(defined, b)[:] = ~masked
-        gamma_flat[b::d + 1][:d - b] = gam
         if b < d - 1:
             lat.absorb(b, gam, dg, ~masked)
     params = SchurParams(d, lvec, gamma, defined)
@@ -321,11 +372,65 @@ def _extract(s: np.ndarray) -> tuple[np.ndarray, SchurParams, _Lattice]:
     return s, params, lat
 
 
+@functools.lru_cache(maxsize=64)
+def _tail_windows(d: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only rows k and columns j of the windows past band b, band-major."""
+    counts = np.arange(d - b - 1, 0, -1)  # windows of bands b+1..d-1
+    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    j = k + np.repeat(np.arange(b + 1, d), counts)
+    k.flags.writeable = j.flags.writeable = False
+    return k, j
+
+
+def _dead_tail(lat: _Lattice, b: int, scale: float, defined: np.ndarray) -> bool:
+    """Band b is dead: if every later band is dead too, extract them at once
+    and leave the removals of bands b.. from ``g`` pending.
+
+    A dead band moves no ``dl``, ``dr``, so the divisors of the windows
+    past b stay what they are now, and one test says whether each is
+    masked.  If one is live, return False.  Otherwise every parameter from
+    band b on is a masked 0, and the band loop would only remove each
+    band's covariances from ``f`` (later bands read them) and ``g``.
+    Window [k, j]'s covariance reaches ``f[i, j]``, i < k, through x_k's
+    coefficient, so removing row k of the tail from the rows above it,
+    bottom row first, leaves every covariance as the band loop reads it.
+    One step checks them all, and its first failure in band order is the
+    band loop's.  Only :func:`_read_factor` reads ``g``; it makes the
+    removals from ``g``, in the same order."""
+    d = lat.lvec.shape[0]
+    if b < d - 1:
+        k, j = _tail_windows(d, b)
+        ll, dprod = lat.lvec[k] * lat.lvec[j], lat.dl[k] * lat.dr[j]
+        if np.count_nonzero(_degenerate(ll * dprod, scale)) < k.shape[0]:
+            return False
+        lat.widen()
+        f = lat.f
+        for i in range(d - b - 1, 0, -1):  # f[i:i+1], not f[i]: numpy rounds
+            # a (1, 1) by (1,) product apart from the band loop's (n, n) by (n,)
+            f[:i, i + b:d] -= f[:i, d + i, None] * f[i:i + 1, i + b:d]
+        failure = _entry_step(f[k, j], ll, dprod, scale)[4]
+        if failure is not None:
+            i, reason, value = failure
+            raise NotPSDError(reason, entry=(int(k[i]), int(j[i])),
+                              band=int(j[i] - k[i]), value=value)
+        defined[k, j] = False
+    _band_diagonal(defined, b)[:] = False
+    lat.tail = b
+    return True
+
+
 def _read_factor(params: SchurParams, lat: _Lattice) -> np.ndarray:
     """:func:`cholesky_factor` of ``params`` read off the lattice that
-    :func:`_extract` returned with them: absorbs the last band, then divides
-    ``(B S)`` as :func:`cholesky_factor` divides its synthesized one."""
-    d = params.dim
+    :func:`_extract` returned with them: makes a dead tail's pending
+    removals from ``g`` in band order and absorbs the last band, then
+    divides ``(B S)`` as :func:`cholesky_factor` divides its synthesized one."""
+    d, b = params.dim, lat.tail
+    if b is not None:  # the tail's covariances are f[i, i+b:] (:func:`_dead_tail`)
+        lat.widen()
+        f, g = lat.f, lat.g
+        for i in range(d - b - 1, -1, -1):
+            g[:, i + b:d] -= g[:, d + i, None] * f[i:i + 1, i + b:d]
+        lat.tail = None
     if d > 1:
         gam = params.gamma[0, d - 1:]
         lat.absorb(d - 1, gam, defect(gam), params.defined[0, d - 1:])

@@ -305,6 +305,43 @@ def test_rank_deficient_bands_are_dead(d, monkeypatch):
         assert maxnorm(rebuilt - s) <= 1e-12 * maxnorm(s), r
 
 
+def _rank_r(rng, d, r):
+    """X*X with X an r x d complex Gaussian."""
+    x = rng.normal(size=(r, d)) + 1j * rng.normal(size=(r, d))
+    return x.conj().T @ x
+
+
+@pytest.mark.parametrize("d, r", [(16, 1), (16, 4), (32, 8), (48, 12)])
+def test_tail_rejection_keeps_its_place(d, r):
+    """Every band past r of a rank-r matrix is dead.  One Hermitian entry
+    pair past band r moved by 1e-3 is rejected at that entry and band, as
+    an inconsistent degenerate entry whose residual is the move."""
+    s = _rank_r(np.random.default_rng(1101), d, r)
+    for k, j in ((0, d - 1), (2, r + 5), (d // 2, d - 2)):
+        t = s.copy()
+        t[k, j] += 1e-3
+        t[j, k] += 1e-3
+        with pytest.raises(NotPSDError) as info:
+            inverse(t)
+        e = info.value
+        assert (e.reason, e.entry, e.band) == ("inconsistent degenerate entry", (k, j), j - k)
+        assert abs(e.value - 1e-3) <= 1e-9
+
+
+def test_dead_band_before_live_bands():
+    """Rank 3 with rows and columns 5..8 zero: band 4 is dead, but windows
+    [k, j] with k <= 4 < 9 <= j skip the zero block, so bands 5..7 are
+    partly live; bands 8.. are dead again."""
+    d = 16
+    s = _rank_r(np.random.default_rng(1101), d, 3)
+    s[5:9, :] = 0.0
+    s[:, 5:9] = 0.0
+    p = inverse(s)
+    per_band = [int(np.count_nonzero(p.defined.diagonal(b))) for b in range(1, d)]
+    assert per_band == [10, 8, 6, 0, 1, 2, 3] + [0] * 8
+    assert maxnorm(forward(p) - s) <= 1e-12 * maxnorm(s)
+
+
 def test_lattice_factor_matches_synthesized_factor_near_rank_deficiency():
     """The Kraus route reads G off the extraction lattice; it must equal the
     synthesized cholesky_factor of the same parameters.  Near rank r most
