@@ -372,14 +372,11 @@ def _extract(s: np.ndarray) -> tuple[np.ndarray, SchurParams, _Lattice]:
     return s, params, lat
 
 
-@functools.lru_cache(maxsize=64)
 def _tail_windows(d: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only rows k and columns j of the windows past band b, band-major."""
-    counts = np.arange(d - b - 1, 0, -1)  # windows of bands b+1..d-1
-    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    j = k + np.repeat(np.arange(b + 1, d), counts)
-    k.flags.writeable = j.flags.writeable = False
-    return k, j
+    """Rows k and columns j of the windows past band b, band-major."""
+    # row m of the flipped lower triangle is k < d-b-1-m: the windows of band b+1+m
+    m, k = np.nonzero(_lower(d - b - 1)[::-1])
+    return k, k + m + (b + 1)
 
 
 def _dead_tail(lat: _Lattice, b: int, scale: float, defined: np.ndarray) -> bool:

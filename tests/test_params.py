@@ -305,18 +305,12 @@ def test_rank_deficient_bands_are_dead(d, monkeypatch):
         assert maxnorm(rebuilt - s) <= 1e-12 * maxnorm(s), r
 
 
-def _rank_r(rng, d, r):
-    """X*X with X an r x d complex Gaussian."""
-    x = rng.normal(size=(r, d)) + 1j * rng.normal(size=(r, d))
-    return x.conj().T @ x
-
-
 @pytest.mark.parametrize("d, r", [(16, 1), (16, 4), (32, 8), (48, 12)])
 def test_tail_rejection_keeps_its_place(d, r):
     """Every band past r of a rank-r matrix is dead.  One Hermitian entry
     pair past band r moved by 1e-3 is rejected at that entry and band, as
     an inconsistent degenerate entry whose residual is the move."""
-    s = _rank_r(np.random.default_rng(1101), d, r)
+    s = _large_psd(np.random.default_rng(1101), d, r)
     for k, j in ((0, d - 1), (2, r + 5), (d // 2, d - 2)):
         t = s.copy()
         t[k, j] += 1e-3
@@ -333,13 +327,62 @@ def test_dead_band_before_live_bands():
     [k, j] with k <= 4 < 9 <= j skip the zero block, so bands 5..7 are
     partly live; bands 8.. are dead again."""
     d = 16
-    s = _rank_r(np.random.default_rng(1101), d, 3)
+    s = _large_psd(np.random.default_rng(1101), d, 3)
     s[5:9, :] = 0.0
     s[:, 5:9] = 0.0
     p = inverse(s)
     per_band = [int(np.count_nonzero(p.defined.diagonal(b))) for b in range(1, d)]
     assert per_band == [10, 8, 6, 0, 1, 2, 3] + [0] * 8
     assert maxnorm(forward(p) - s) <= 1e-12 * maxnorm(s)
+
+
+def _extraction_bytes(s):
+    """The bytes of ``_extract``'s parameters and of ``_read_factor`` on its
+    lattice, or the rejection's reason, entry, band and value."""
+    try:
+        _, p, lat = _extract(s)
+    except NotPSDError as e:
+        return e.reason, e.entry, e.band, np.float64(e.value).tobytes()
+    return tuple(a.tobytes() for a in (p.diag, p.gamma, p.defined, _read_factor(p, lat)))
+
+
+def test_dead_tail_exit_matches_the_band_loop(monkeypatch):
+    """The one-step dead tail gives, byte for byte, what the band loop gives
+    with the exit switched off: on rank-deficient input, on input moved past
+    the rank (rejected in the tail) and on input with a zero row."""
+    import schurq.params as params
+
+    rng = np.random.default_rng(1102)
+    inputs = []
+    for d in (4, 9, 16, 32):
+        for r in sorted({1, d // 4, d // 2, d}):
+            s = _large_psd(rng, d, r)
+            for k, j in ((0, d - 1), (d // 2, d - 1)):
+                moved = s.copy()
+                moved[k, j] += 1e-3
+                moved[j, k] += 1e-3
+                inputs.append(moved)
+            for rows in (d // 2, d - 1, slice(5, 9)):  # 5..8: live bands after a dead one
+                zero = s.copy()
+                zero[rows, :] = zero[:, rows] = 0.0
+                inputs.append(zero)
+            inputs.append(s)
+    # A rank d-3 tail is two rows long; how its one-entry products broadcast
+    # decides their rounding, so take a few draws of it.
+    inputs += [_large_psd(rng, d, d - 3) for d in (5, 6, 9) for _ in range(6)]
+    exits = []
+    dead_tail = params._dead_tail
+
+    def watched_dead_tail(*args):
+        exits.append(dead_tail(*args))
+        return exits[-1]
+
+    monkeypatch.setattr(params, "_dead_tail", watched_dead_tail)
+    with_exit = [_extraction_bytes(s) for s in inputs]
+    assert any(exits) and not all(exits)
+    assert any(isinstance(x[0], str) for x in with_exit)
+    monkeypatch.setattr(params, "_dead_tail", lambda *args: False)
+    assert [_extraction_bytes(s) for s in inputs] == with_exit
 
 
 def test_lattice_factor_matches_synthesized_factor_near_rank_deficiency():
