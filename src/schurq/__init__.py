@@ -18,7 +18,6 @@ from .channels import (
     kraus_from_choi,
     map_from_choi,
     qubit_nf_choi,
-    qubit_nf_map,
     qubit_nf_params,
 )
 from .displacement import displacement_inverse

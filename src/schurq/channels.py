@@ -63,10 +63,8 @@ __all__ = [
     "is_unital",
     "is_completely_positive",
     "kraus_from_choi",
-    "completeness_identity",
     "capacity_D",
     "choi_tensor",
-    "qubit_nf_map",
     "qubit_nf_choi",
     "qubit_nf_params",
 ]
@@ -301,27 +299,6 @@ def _kraus_from_params(c, s, params, lat) -> KrausSet:
     return ks
 
 
-def completeness_identity(ks: KrausSet) -> str | None:
-    """Which quadratic identity the generators satisfy, if any.
-
-    Returns ``"sum K*K = I"`` (trace preservation under the stored
-    convention), ``"sum KK* = I"`` (unitality), ``"both"``, or ``None``.
-    """
-    left = sum((k.conj().T @ k for k in ks.generators),
-               np.zeros((ks.d_in, ks.d_in), dtype=np.complex128))
-    right = sum((k @ k.conj().T for k in ks.generators),
-                np.zeros((ks.d_out, ks.d_out), dtype=np.complex128))
-    left_ok = maxnorm(left - np.eye(ks.d_in)) <= DEFAULT_TOL.entry(1.0)
-    right_ok = maxnorm(right - np.eye(ks.d_out)) <= DEFAULT_TOL.entry(1.0)
-    if left_ok and right_ok:
-        return "both"
-    if left_ok:
-        return "sum K*K = I"
-    if right_ok:
-        return "sum KK* = I"
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Capacity
 
@@ -364,39 +341,17 @@ def choi_tensor(c1: ChoiMatrix, c2: ChoiMatrix) -> ChoiMatrix:
 # Qubit normal form
 
 
-_PAULI = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
-)
-
-
 def _nf_vectors(nf: QubitChannelNF) -> tuple[np.ndarray, np.ndarray]:
     t = np.asarray(nf.t, dtype=float).reshape(3)
     lam = np.asarray(nf.lam, dtype=float).reshape(3)
     return t, lam
 
 
-def qubit_nf_map(nf: QubitChannelNF) -> LinearMap:
-    """The normal-form map itself: I -> I + t.sigma, sigma_k -> lam_k sigma_k."""
-    t, lam = _nf_vectors(nf)
-    eye = np.eye(2, dtype=np.complex128)
-
-    def phi(x):
-        c0 = 0.5 * np.trace(x)
-        out = c0 * eye
-        for k in range(3):
-            ck = 0.5 * np.trace(_PAULI[k] @ x)
-            out = out + (c0 * t[k] + lam[k] * ck) * _PAULI[k]
-        return out
-
-    return map_from_apply(2, 2, phi)
-
-
 def qubit_nf_choi(nf: QubitChannelNF) -> tuple[ChoiMatrix, ChoiMatrix]:
     """Closed-form Choi matrices of the normal form and of its adjoint.
 
-    They equal :func:`choi_from_map` of :func:`qubit_nf_map` and of its
+    They equal :func:`choi_from_map` of the map tabulated on the Pauli basis
+    (``qubit_nf_map`` in ``tests/test_channels.py``) and of its
     :func:`adjoint`; the tests check that.
     """
     t, lam = _nf_vectors(nf)

@@ -17,6 +17,13 @@ is the conjugate of ``gamma[tau, tau + m]``.  (Stated as a time-shift rule,
 the published recursion's first step is always the identity rotation; the
 level index here absorbs that step.)
 
+One level is one array step on a generator pair: row tau of the (n, n)
+arrays ``u``, ``v`` (n = d - m) holds the generator at time tau.  Node
+(tau, tau + m) reads only ``dl[tau]`` and ``dr[tau + m]``, and each row and
+column occurs once per level, so the nodes of a level are independent: they
+are decided at once, and the first failing tau raises.  Level m + 1 reads
+``u[1:, :n-1]`` and ``v[:n-1, 1:]`` of the transformed pair.
+
 Degenerate nodes follow the divisor rule of the direct solve, decided when
 the recursion reaches them: the divisor of node (k, j) is ``L_k L_j`` times
 the defect products of the parameters already decided along row k and column
@@ -24,11 +31,14 @@ j.  A masked node stores 0 (``defined`` False) and takes the identity
 rotation, so no noise ratio enters later levels; its generator must still
 keep the signature ``|u0| >= |v0|`` (within the entry slack of the
 unit-diagonal scaling), as a masked entry of the direct solve must keep its
-residual.  A live node's ratio is judged by the disc allowance of the direct
-solve; a ratio on the unit circle (clamped onto it, or of defect 0 after
-rounding) requires the columns to be proportional (else the matrix is not
-PSD) and annihilates the transformed generator, which is its exact limit;
-a live node whose ``u0`` that annihilation zeroed takes ratio 0.
+residual; that rejection's value is ``|u0|^2 - |v0|^2`` in the recursion's
+own coordinates (unit diagonal, divided by the defect at each earlier
+rotation), not a margin on the input's scale.  A live node's ratio is
+judged by the disc allowance of the direct solve; a ratio on the unit circle
+(clamped onto it, or of defect 0 after rounding) requires the columns to be
+proportional (else the matrix is not PSD) and annihilates the transformed
+generator, which is its exact limit; a live node whose ``u0`` that
+annihilation zeroed takes ratio 0.
 """
 
 from __future__ import annotations
@@ -36,34 +46,25 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import DEFAULT_TOL, NotPSDError, maxnorm
-from .params import SchurParams, _degenerate, _disc_allowance, _preamble, defect, forward
+from .params import (SchurParams, _degenerate, _disc_allowance, _lower, _preamble,
+                     _skew, defect, forward)
 
 __all__ = ["displacement_inverse"]
 
 
-def _initial_generators(s1: np.ndarray) -> list[np.ndarray]:
-    d = s1.shape[0]
-    gens = []
-    for tau in range(d):
-        g = np.zeros((d, 2), dtype=np.complex128)
-        g[0, 0] = 1.0
-        tail = np.conj(s1[tau, tau + 1:])
-        g[1:1 + tail.size, 0] = tail
-        g[1:1 + tail.size, 1] = tail
-        gens.append(g)
-    return gens
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """``|z|`` by libm ``hypot``, as scalar ``abs`` rounds it (array ``np.abs`` may not)."""
+    return np.hypot(z.real, z.imag)
 
 
-def _theta_transform(g: np.ndarray, gamma_hat: complex, degenerate: bool) -> np.ndarray:
-    if degenerate:
-        return np.zeros_like(g)
-    if gamma_hat == 0:
-        return g
-    dg = defect(gamma_hat)
-    out = np.empty_like(g)
-    out[:, 0] = (g[:, 0] - np.conj(gamma_hat) * g[:, 1]) / dg
-    out[:, 1] = (g[:, 1] - gamma_hat * g[:, 0]) / dg
-    return out
+def _raise_first(checks: list, m: int) -> None:
+    """Raise as the node-by-node recursion would: level m's first failing node,
+    by its first failing check."""
+    failing = [c for c in checks if np.count_nonzero(c[0])]
+    if failing:
+        tau = min(int(np.argmax(fail)) for fail, _, _ in failing)
+        _, reason, value = next(c for c in failing if c[0][tau])
+        raise NotPSDError(reason, entry=(tau, tau + m), band=m, value=float(value[tau]))
 
 
 def displacement_inverse(s: np.ndarray) -> SchurParams:
@@ -82,77 +83,75 @@ def displacement_inverse(s: np.ndarray) -> SchurParams:
 
     # Unit-diagonal scaling with the 0/0 -> 0 convention; entries over a
     # (numerically) vanished diagonal must themselves vanish for a PSD matrix.
+    # The first bad one in (band, row) order is reported, as by ``inverse``.
     ll = np.outer(lvec, lvec)
     dead = _degenerate(ll, scale)
     s1 = np.where(dead, 0.0, s / np.where(dead, 1.0, ll))
-    bad = dead & ~np.eye(d, dtype=bool) & (np.abs(s) > entry_tol + ll)
-    if np.any(bad):
-        k, j = np.argwhere(bad)[0]
-        raise NotPSDError("inconsistent degenerate entry", entry=(int(k), int(j)),
-                          band=int(abs(j - k)), value=float(abs(s[k, j])))
+    rows, cols = np.nonzero(dead & (np.abs(s) > entry_tol + ll) & ~_lower(d))
+    if rows.size:
+        i = np.lexsort((rows, cols - rows))[0]
+        k, j = int(rows[i]), int(cols[i])
+        raise NotPSDError("inconsistent degenerate entry", entry=(k, j),
+                          band=j - k, value=float(abs(s[k, j])))
 
-    snorm1 = maxnorm(s1)
-    d_tol = DEFAULT_TOL.entry(snorm1)
+    d_tol = DEFAULT_TOL.entry(maxnorm(s1))
     prop_tol = 1e3 * d_tol
 
-    gens = _initial_generators(s1)
-    gammas = [0.0 + 0.0j] * d
-    degen = [False] * d
-    gamma = np.zeros((d, d), dtype=np.complex128)
-    defined = np.triu(np.ones((d, d), dtype=bool), 1)
-    # Defect products of the parameters decided so far along each row (dl)
-    # and column (dr), as in the direct solve's lattice.
-    lv, dl, dr = lvec.tolist(), [1.0] * d, [1.0] * d
+    # Level 0: row tau of u is e_0 + conj(S1[tau, tau+1:]) zero-padded, and v
+    # is u without e_0; level 1 drops column 0 of v, so the two share an array.
+    buf = np.zeros((d, 2 * d), dtype=np.complex128)
+    np.conjugate(s1, out=buf[:, :d])
+    u = v = _skew(buf, 0, 0, d, d)
+    u[:, 0] = 1.0
+    # Level m writes column m of the skewed views: entries (k, k + m).
+    gamma, defined = np.zeros((d, 2 * d), np.complex128), np.zeros((d, 2 * d), bool)
+    gamma_m, defined_m = _skew(gamma, 0, 0, d, d), _skew(defined, 0, 0, d, d)
+    # Defect products of the parameters decided along each row (dl), column (dr).
+    dl, dr = np.ones(d), np.ones(d)
 
     for m in range(1, d):
-        trans = [_theta_transform(g, gammas[tau], degen[tau])
-                 for tau, g in enumerate(gens)]
-        new_gens: list[np.ndarray] = []
-        new_gammas: list[complex] = []
-        new_degen: list[bool] = []
-        for tau in range(len(gens) - 1):
-            a, b = trans[tau + 1], trans[tau]
-            n = a.shape[0]
-            g = np.empty((n - 1, 2), dtype=np.complex128)
-            g[:, 0] = a[:n - 1, 0]
-            g[:, 1] = b[1:, 1]
-            k, j = tau, tau + m
-            u0, v0 = g[0, 0], g[0, 1]
-            divisor = lv[k] * lv[j] * (dl[k] * dr[j])
-            gh, dgn = 0.0 + 0.0j, False
-            if _degenerate(divisor, scale):  # masked: ratio 0, the identity rotation
-                d_top = float(abs(u0) ** 2 - abs(v0) ** 2)
-                if d_top < -d_tol:
-                    raise NotPSDError("generator signature violated",
-                                      entry=(k, j), band=m, value=d_top)
-                defined[k, j] = False
-            elif u0 != 0:  # 0 after a node on the circle annihilated it: ratio 0
-                gh = v0 / u0
-                mod = abs(gh)
-                if mod > 1.0:
-                    if mod - 1.0 > _disc_allowance(scale, divisor):
-                        raise NotPSDError("parameter outside the unit disc",
-                                          entry=(k, j), band=m, value=float(mod))
-                    gh /= mod
-                    mod = 1.0
-                dg = defect(gh)
-                if mod == 1.0 or dg == 0.0:  # the transform would divide by 0
-                    resid = maxnorm(g[:, 1] - gh * g[:, 0])
-                    if resid > prop_tol:
-                        raise NotPSDError("inconsistent boundary generator",
-                                          entry=(k, j), band=m, value=float(resid))
-                    dgn = True
-                gamma[k, j] = np.conj(gh)
-                dl[k] *= dg
-                dr[j] *= dg
-            new_gens.append(g)
-            new_gammas.append(gh)
-            new_degen.append(dgn)
-        gens, gammas, degen = new_gens, new_gammas, new_degen
+        n = d - m
+        u, v = u[1:, :n], v[:n, 1:]
+        divisor = ll.diagonal(m) * (dl[:n] * dr[m:])
+        masked = _degenerate(divisor, scale)
+        checks = []  # (failing nodes, reason, values), in each node's order
+        n_masked = np.count_nonzero(masked)
+        if n_masked:  # masked: ratio 0, the identity rotation
+            d_top = _modulus(u[:, 0]) ** 2 - _modulus(v[:, 0]) ** 2
+            checks.append((masked & (d_top < -d_tol),
+                           "generator signature violated", d_top))
+            if n_masked == n:  # a dead level moves no generator
+                _raise_first(checks, m)
+                continue
+        defined_m[:n, m] = ~masked
+        # u0 is 0 after a node on the circle annihilated it: ratio 0
+        ratio = ~masked & (u[:, 0] != 0)
+        gh = np.divide(v[:, 0], u[:, 0], out=np.zeros(n, np.complex128), where=ratio)
+        mod = _modulus(gh)
+        clamp = mod > 1.0
+        if np.count_nonzero(clamp):
+            checks.append((clamp & (mod - 1.0 > _disc_allowance(scale, divisor)),
+                           "parameter outside the unit disc", mod))
+            np.divide(gh, mod, out=gh, where=clamp)
+        dg = defect(gh)
+        circle = (mod >= 1.0) | (dg == 0.0)  # the transform would divide by 0
+        on_circle = np.count_nonzero(circle)
+        if on_circle:
+            resid = np.max(np.abs(v - gh[:, None] * u), axis=1)
+            checks.append((circle & (resid > prop_tol),
+                           "inconsistent boundary generator", resid))
+        _raise_first(checks, m)
+        np.conjugate(gh, out=gamma_m[:n, m], where=ratio)
+        dl[:n] *= dg
+        dr[m:] *= dg
+        if m < d - 1 and np.count_nonzero(gh):
+            q = np.where(circle, 1.0, dg)[:, None]
+            u, v = (u - np.conj(gh)[:, None] * v) / q, (v - gh[:, None] * u) / q
+            if on_circle:
+                u[circle] = v[circle] = 0.0
 
-    params = SchurParams(d, lvec, gamma, defined)
+    params = SchurParams(d, lvec, gamma[:, :d].copy(), defined[:, :d].copy())
     params.validate()
-
     err = maxnorm(forward(params) - s)
     if err > 50.0 * d * entry_tol:
         raise NotPSDError("reconstruction mismatch after extraction",

@@ -15,7 +15,6 @@ from schurq.channels import (
     capacity_D,
     choi_from_map,
     choi_tensor,
-    completeness_identity,
     depolarizing_channel,
     identity_channel,
     is_completely_positive,
@@ -25,10 +24,9 @@ from schurq.channels import (
     map_from_apply,
     map_from_choi,
     qubit_nf_choi,
-    qubit_nf_map,
     qubit_nf_params,
 )
-from schurq.linalg import NotPSDError, maxnorm, reference_determinant
+from schurq.linalg import DEFAULT_TOL, NotPSDError, maxnorm, reference_determinant
 from schurq.params import defect, inverse
 
 PAULI = (
@@ -36,6 +34,46 @@ PAULI = (
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
+
+
+def qubit_nf_map(nf: QubitChannelNF) -> LinearMap:
+    """The normal-form map itself: I -> I + t.sigma, sigma_k -> lam_k sigma_k.
+
+    Test oracle for the closed forms of ``qubit_nf_choi``."""
+    t = np.asarray(nf.t, dtype=float).reshape(3)
+    lam = np.asarray(nf.lam, dtype=float).reshape(3)
+    eye = np.eye(2, dtype=np.complex128)
+
+    def phi(x):
+        c0 = 0.5 * np.trace(x)
+        out = c0 * eye
+        for k in range(3):
+            ck = 0.5 * np.trace(PAULI[k] @ x)
+            out = out + (c0 * t[k] + lam[k] * ck) * PAULI[k]
+        return out
+
+    return map_from_apply(2, 2, phi)
+
+
+def completeness_identity(ks: KrausSet) -> str | None:
+    """Which quadratic identity the generators satisfy, if any.
+
+    Returns ``"sum K*K = I"`` (trace preservation under the stored
+    convention), ``"sum KK* = I"`` (unitality), ``"both"``, or ``None``.
+    """
+    left = sum((k.conj().T @ k for k in ks.generators),
+               np.zeros((ks.d_in, ks.d_in), dtype=np.complex128))
+    right = sum((k @ k.conj().T for k in ks.generators),
+                np.zeros((ks.d_out, ks.d_out), dtype=np.complex128))
+    left_ok = maxnorm(left - np.eye(ks.d_in)) <= DEFAULT_TOL.entry(1.0)
+    right_ok = maxnorm(right - np.eye(ks.d_out)) <= DEFAULT_TOL.entry(1.0)
+    if left_ok and right_ok:
+        return "both"
+    if left_ok:
+        return "sum K*K = I"
+    if right_ok:
+        return "sum KK* = I"
+    return None
 
 
 def _rand_complex(rng, shape):

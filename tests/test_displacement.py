@@ -5,8 +5,131 @@ import numpy as np
 import pytest
 
 from schurq.displacement import displacement_inverse
-from schurq.linalg import NotPSDError, maxnorm
-from schurq.params import SchurParams, forward, inverse
+from schurq.linalg import DEFAULT_TOL, NotPSDError, maxnorm
+from schurq.params import (SchurParams, _degenerate, _disc_allowance, _preamble, defect,
+                           forward, inverse)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the recursion node by node, one generator array per shifted time.
+
+
+def _initial_generators(s1: np.ndarray) -> list[np.ndarray]:
+    d = s1.shape[0]
+    gens = []
+    for tau in range(d):
+        g = np.zeros((d, 2), dtype=np.complex128)
+        g[0, 0] = 1.0
+        tail = np.conj(s1[tau, tau + 1:])
+        g[1:1 + tail.size, 0] = tail
+        g[1:1 + tail.size, 1] = tail
+        gens.append(g)
+    return gens
+
+
+def _theta_transform(g: np.ndarray, gamma_hat: complex, degenerate: bool) -> np.ndarray:
+    if degenerate:
+        return np.zeros_like(g)
+    if gamma_hat == 0:
+        return g
+    dg = defect(gamma_hat)
+    out = np.empty_like(g)
+    out[:, 0] = (g[:, 0] - np.conj(gamma_hat) * g[:, 1]) / dg
+    out[:, 1] = (g[:, 1] - gamma_hat * g[:, 0]) / dg
+    return out
+
+
+def _reference_inverse(s: np.ndarray) -> SchurParams:
+    """``displacement_inverse`` visiting one node (k, j) at a time."""
+    s, lvec, scale = _preamble(s)
+    d = s.shape[0]
+    entry_tol = DEFAULT_TOL.entry(scale)
+
+    ll = np.outer(lvec, lvec)
+    dead = _degenerate(ll, scale)
+    s1 = np.where(dead, 0.0, s / np.where(dead, 1.0, ll))
+    bad = dead & ~np.eye(d, dtype=bool) & (np.abs(s) > entry_tol + ll)
+    for b in range(1, d):  # first bad entry by (band, row)
+        for k in range(d - b):
+            if bad[k, k + b]:
+                raise NotPSDError("inconsistent degenerate entry", entry=(k, k + b),
+                                  band=b, value=float(abs(s[k, k + b])))
+
+    snorm1 = maxnorm(s1)
+    d_tol = DEFAULT_TOL.entry(snorm1)
+    prop_tol = 1e3 * d_tol
+
+    gens = _initial_generators(s1)
+    gammas = [0.0 + 0.0j] * d
+    degen = [False] * d
+    gamma = np.zeros((d, d), dtype=np.complex128)
+    defined = np.triu(np.ones((d, d), dtype=bool), 1)
+    lv, dl, dr = lvec.tolist(), [1.0] * d, [1.0] * d
+
+    for m in range(1, d):
+        trans = [_theta_transform(g, gammas[tau], degen[tau])
+                 for tau, g in enumerate(gens)]
+        new_gens: list[np.ndarray] = []
+        new_gammas: list[complex] = []
+        new_degen: list[bool] = []
+        for tau in range(len(gens) - 1):
+            a, b = trans[tau + 1], trans[tau]
+            n = a.shape[0]
+            g = np.empty((n - 1, 2), dtype=np.complex128)
+            g[:, 0] = a[:n - 1, 0]
+            g[:, 1] = b[1:, 1]
+            k, j = tau, tau + m
+            u0, v0 = g[0, 0], g[0, 1]
+            divisor = lv[k] * lv[j] * (dl[k] * dr[j])
+            gh, dgn = 0.0 + 0.0j, False
+            if _degenerate(divisor, scale):
+                d_top = float(abs(u0) ** 2 - abs(v0) ** 2)
+                if d_top < -d_tol:
+                    raise NotPSDError("generator signature violated",
+                                      entry=(k, j), band=m, value=d_top)
+                defined[k, j] = False
+            elif u0 != 0:
+                gh = v0 / u0
+                mod = abs(gh)
+                if mod > 1.0:
+                    if mod - 1.0 > _disc_allowance(scale, divisor):
+                        raise NotPSDError("parameter outside the unit disc",
+                                          entry=(k, j), band=m, value=float(mod))
+                    gh /= mod
+                    mod = 1.0
+                dg = defect(gh)
+                if mod == 1.0 or dg == 0.0:
+                    resid = maxnorm(g[:, 1] - gh * g[:, 0])
+                    if resid > prop_tol:
+                        raise NotPSDError("inconsistent boundary generator",
+                                          entry=(k, j), band=m, value=float(resid))
+                    dgn = True
+                gamma[k, j] = np.conj(gh)
+                dl[k] *= dg
+                dr[j] *= dg
+            new_gens.append(g)
+            new_gammas.append(gh)
+            new_degen.append(dgn)
+        gens, gammas, degen = new_gens, new_gammas, new_degen
+
+    params = SchurParams(d, lvec, gamma, defined)
+    params.validate()
+
+    err = maxnorm(forward(params) - s)
+    if err > 50.0 * d * entry_tol:
+        raise NotPSDError("reconstruction mismatch after extraction",
+                          value=float(err))
+    return params
+
+
+def _outcome(f, s):
+    try:
+        return f(s), None
+    except NotPSDError as exc:
+        return None, exc
+
+
+# ---------------------------------------------------------------------------
 
 
 def test_identity():
@@ -132,3 +255,103 @@ def _rank_half_corner(rng, d):
     s[0, d - 1] += 1e-3
     s[d - 1, 0] += 1e-3
     return s
+
+
+def _fuzz_case(rng, d):
+    """One input of a randomly chosen kind: PSD of full, half, quarter or unit
+    rank, tiny scale, near rank, a zero row, shifted indefinite, a corner
+    perturbation, random Hermitian, or synthesized with one parameter on the
+    unit circle."""
+    def cx(r):
+        return rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+
+    kind = int(rng.integers(12))
+    r = (d, d // 2, max(d // 4, 1), 1)[kind % 4]
+    x = cx(r)
+    s = x @ x.conj().T
+    if kind == 4:
+        s = x.real @ x.real.T
+    elif kind == 5:
+        s *= 1e-12
+    elif kind == 6:
+        y = cx(d)
+        s = s + 1e-11 * (y @ y.conj().T)
+    elif kind == 7:
+        i = int(rng.integers(d))
+        s[i, :] = 0.0
+        s[:, i] = 0.0
+    elif kind == 8:
+        s = s - (np.linalg.eigvalsh(s)[0] + 1e-3 * (1.0 + rng.random())) * np.eye(d)
+    elif kind == 9:
+        s[0, d - 1] += 1e-3
+        s[d - 1, 0] += 1e-3
+    elif kind == 10:
+        y = cx(d)
+        s = y + y.conj().T
+    elif kind == 11:
+        g = np.triu(0.6 * rng.uniform(size=(d, d)) * np.exp(6.3j * rng.uniform(size=(d, d))), 1)
+        k = int(rng.integers(d - 1))
+        g[k, k + 1] /= abs(g[k, k + 1])
+        s = forward(SchurParams(d, rng.uniform(0.5, 2.0, d), g))
+    return s
+
+
+def test_level_step_matches_node_by_node_reference():
+    """The per-level step decides what the node-by-node recursion decides:
+    the same verdict, mask and rejection (reason, entry, band), with
+    parameters and rejection values equal up to a few ulps."""
+    rng = np.random.default_rng(1212)
+    cases = [np.kron(np.eye(2), [[1.0, 2.0], [2.0, 1.0]]),
+             np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 2.0], [0.0, 2.0, 1.0]])]
+    cases += [_rank_half_corner(rng, 9) for _ in range(4)]
+    cases += [_fuzz_case(rng, int(rng.integers(2, 11))) for _ in range(400)]
+    kinds = {}
+    for s in cases:
+        (p1, e1), (p2, e2) = _outcome(_reference_inverse, s), _outcome(displacement_inverse, s)
+        assert (e1 is None) == (e2 is None)
+        if e1 is not None:
+            assert (e1.reason, e1.entry, e1.band) == (e2.reason, e2.entry, e2.band)
+            assert abs(e1.value - e2.value) <= 1e-14 * abs(e1.value)
+            kinds.setdefault(e1.reason, (e1.entry, e1.band))
+            continue
+        assert np.array_equal(p1.defined, p2.defined)
+        assert np.array_equal(p1.diag, p2.diag)
+        assert maxnorm(p1.gamma - p2.gamma) <= 1e-14
+    # Two nodes of level 1 fail in each of the first two cases; the first node
+    # wins, whichever check fails there.
+    first = [_outcome(displacement_inverse, s)[1] for s in cases[:2]]
+    assert [(e.reason, e.entry, e.band) for e in first] == [
+        ("parameter outside the unit disc", (0, 1), 1),
+        ("inconsistent boundary generator", (0, 1), 1)]
+    assert set(kinds) >= {"generator signature violated", "parameter outside the unit disc",
+                          "inconsistent boundary generator"}
+
+
+def test_signature_rejection_in_a_dead_level():
+    """Rank-d/2 corner input at d = 9: every level past band 4 is dead, and
+    the signature check of such a level rejects as the reference does."""
+    rng = np.random.default_rng(8001)
+    hits = 0
+    for _ in range(20):
+        s = _rank_half_corner(rng, 9)
+        _, ref = _outcome(_reference_inverse, s)
+        _, err = _outcome(displacement_inverse, s)
+        assert (err.reason, err.entry, err.band) == (ref.reason, ref.entry, ref.band)
+        assert abs(err.value - ref.value) <= 1e-14 * abs(ref.value)
+        if ref.reason == "generator signature violated":
+            assert ref.band > 4
+            hits += 1
+    assert hits >= 1
+
+
+def test_zero_diagonal_rejection_names_first_band():
+    """An entry over a vanished diagonal is reported at its first failing band,
+    as ``inverse`` reports it, not at the first entry in row-major order."""
+    s = np.diag([1.0, 1.0, 0.0, 0.0])
+    s[0, 3] = s[3, 0] = s[1, 2] = s[2, 1] = 0.5
+    for route in (inverse, displacement_inverse):
+        with pytest.raises(NotPSDError) as info:
+            route(s)
+        err = info.value
+        assert (err.reason, err.entry, err.band, err.value) == (
+            "inconsistent degenerate entry", (1, 2), 1, 0.5)
