@@ -18,6 +18,8 @@ every window one step out.  Synthesis carries coefficient rows and sets ``S_kj
 carries the rows times ``S`` (the Schur form, accurate on ill-conditioned
 input) and reads ``a`` off an entry.  Finally ``g[j]`` is x_j's residual given
 x_0..x_{j-1}, which yields ``G``.  O(d^3) time and O(d^2) memory in all.
+A :class:`SchurParams` keeps its last synthesis, so :func:`forward` and
+:func:`cholesky_factor` on one parameter set run the lattice once.
 
 Degenerate entries: when the divisor is numerically zero, ``S_kj`` carries no
 information about ``gamma[k, j]``; the parameter is stored as 0 with
@@ -93,12 +95,15 @@ class SchurParams:
 
     ``gamma`` and ``defined`` are full (d, d) arrays of which only the strict
     upper triangle is meaningful; everything else is fixed to 0 / False.
+    ``_synthesis`` is the last synthesis with the fields it came from
+    (:func:`_synthesize`).
     """
 
     dim: int
     diag: np.ndarray
     gamma: np.ndarray
     defined: np.ndarray = field(default=None)  # type: ignore[assignment]
+    _synthesis: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.diag = np.asarray(self.diag, dtype=np.float64)
@@ -284,10 +289,21 @@ def _band_diagonal(m: np.ndarray, b: int) -> np.ndarray:
     return m.reshape(-1)[b::n + 1][:d - b]
 
 
-def _synthesize(params: SchurParams) -> tuple[np.ndarray, _Lattice]:
-    """Upper triangle of the matrix of ``params`` and the final coefficient lattice."""
+def _synthesize(params: SchurParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Upper triangle of the matrix of ``params``, and the coefficient rows
+    ``g`` and column defect products ``dr`` of the final lattice.
+
+    ``params`` keeps the last result with its ``dim`` and the dtype, shape
+    and bytes of its arrays, and returns it while they stay the same (bit
+    patterns, so a -0.0 for a +0.0 is a change).  Callers must not write
+    into it."""
     params.validate()
     d, lvec = params.dim, params.diag
+    key = (d,) + tuple((a.dtype, a.shape, a.tobytes())
+                       for a in (lvec, params.gamma, params.defined))
+    kept = params._synthesis
+    if kept is not None and kept[0] == key:
+        return kept[1]
     s = np.diag((lvec * lvec).astype(np.complex128))
     lat = _Lattice(lvec, np.eye(d, dtype=np.complex128))
     dgs = defect(params.gamma)
@@ -299,7 +315,8 @@ def _synthesize(params: SchurParams) -> tuple[np.ndarray, _Lattice]:
         known = np.einsum("ki,ik->k", lat.f[:d - b], s[:, b:])  # reads the upper part
         _band_diagonal(s, b)[:] = gam * divisor - known
         lat.absorb(b, gam, dgs.diagonal(b), divisor > 0.0)
-    return s, lat
+    params._synthesis = key, (s, lat.g, lat.dr)
+    return s, lat.g, lat.dr
 
 
 def _factor(bs: np.ndarray, lvec: np.ndarray, dr: np.ndarray) -> np.ndarray:
@@ -317,8 +334,8 @@ def cholesky_factor(params: SchurParams) -> np.ndarray:
     ``G[j, j]`` is column j's defect product.  Above it, row j holds the
     covariances of x_j's residual given x_0..x_{j-1} over its standard
     deviation and ``L_l``, or 0 where either vanishes (a zero pivot row)."""
-    s, lat = _synthesize(params)  # (B S)[j, l] for l >= j reads only the upper part
-    return _factor(lat.g @ s, params.diag, lat.dr)
+    s, g, dr = _synthesize(params)  # (B S)[j, l] for l >= j reads only the upper part
+    return _factor(g @ s, params.diag, dr)
 
 
 def forward(params: SchurParams) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""pytest setup: Hypothesis keeps its caches out of the source tree.
+"""pytest setup: Hypothesis keeps its caches out of the source tree, and a
+fixture counts syntheses.
 
 The property tests run without an example database, but Hypothesis still
 caches the constants it reads from local modules; they go to the system
@@ -8,5 +9,24 @@ temporary directory unless ``HYPOTHESIS_STORAGE_DIRECTORY`` is already set.
 import os
 import tempfile
 
+import pytest
+
 os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
                       os.path.join(tempfile.gettempdir(), "schurq-hypothesis"))
+
+
+@pytest.fixture
+def synthesis_runs(monkeypatch) -> list:
+    """A list that grows by one each time ``params`` builds a lattice: in
+    ``forward`` and ``cholesky_factor``, each run of the synthesis band loop."""
+    import schurq.params as params
+
+    runs = []
+
+    class CountedLattice(params._Lattice):
+        def __init__(self, *args, **kwargs):
+            runs.append(None)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(params, "_Lattice", CountedLattice)
+    return runs

@@ -7,6 +7,8 @@ Golden outputs under ``tests/golden`` were produced by the CLI itself:
     schurq parametrize --in nf_matrix.json --out nf_params.json
     schurq channel --choi depol_choi.json --din 2 --dout 2 --capacity
     schurq random --kind psd --dim 3 --seed 42 --out random_psd_seed42.json
+    schurq reconstruct --in tensor_params.json --out tensor_reconstructed.json \
+        --cholesky tensor_cholesky.json
 
 and must regenerate byte-identically.
 """
@@ -385,6 +387,17 @@ def test_channel_extracts_once(tmp_path, capsys, monkeypatch):
     assert len(files) == len(ks.generators)
     for path, gen in zip(files, ks.generators):
         assert path.read_bytes() == dumps_canonical(matrix_to_obj(gen)).encode()
+
+
+def test_reconstruct_cholesky_synthesizes_once(tmp_path, synthesis_runs):
+    """``reconstruct --cholesky`` reads the matrix and its factor off one
+    synthesis, and both files keep their golden bytes."""
+    out, chol = tmp_path / "m.json", tmp_path / "c.json"
+    assert main(["reconstruct", "--in", str(GOLDEN / "tensor_params.json"),
+                 "--out", str(out), "--cholesky", str(chol)]) == 0
+    assert len(synthesis_runs) == 1
+    assert out.read_bytes() == (GOLDEN / "tensor_reconstructed.json").read_bytes()
+    assert chol.read_bytes() == (GOLDEN / "tensor_cholesky.json").read_bytes()
 
 
 def test_channel_transpose_exit2(tmp_path, capsys):

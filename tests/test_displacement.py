@@ -355,3 +355,17 @@ def test_zero_diagonal_rejection_names_first_band():
         err = info.value
         assert (err.reason, err.entry, err.band, err.value) == (
             "inconsistent degenerate entry", (1, 2), 1, 0.5)
+
+
+def test_routes_name_different_entries_for_one_band_1_rejection():
+    """Pins a known disagreement as it stands: ``inverse`` accepts
+    |gamma_01| = 1 without a proportionality check and rejects one window
+    later, at (1, 2); ``displacement_inverse`` rejects (0, 1) itself."""
+    s = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 2.0], [0.0, 2.0, 1.0]])
+    expected = {inverse: ("parameter outside the unit disc", (1, 2), 1, 2.0),
+                displacement_inverse: ("inconsistent boundary generator", (0, 1), 1, 2.0)}
+    for route, want in expected.items():
+        with pytest.raises(NotPSDError) as info:
+            route(s)
+        err = info.value
+        assert (err.reason, err.entry, err.band, err.value) == want

@@ -494,21 +494,81 @@ def test_is_psd_via_params():
         assert maxnorm(forward(inverse(h)) - h) <= 1e-9 * (1 + maxnorm(h))
 
 
+def _fresh(p):
+    """A copy of ``p`` that has not been synthesized."""
+    return SchurParams(p.dim, p.diag.copy(), p.gamma.copy(), p.defined.copy())
+
+
 def test_memory_stays_quadratic():
     """No O(d^4) table: inverse, forward and cholesky_factor at d=64 peak
-    under 2 MB, at full rank and on the rank-deficient path (dead bands)."""
+    under 2 MB, at full rank and on the rank-deficient path (dead bands),
+    each synthesis on parameters not synthesized before.  The synthesis a
+    SchurParams keeps holds under 256 KiB: the upper triangle, the
+    coefficient rows and a copy of gamma, 64 KiB each, and small arrays."""
     rng = np.random.default_rng(62)
     for rank in (128, 16, 1):
         s = _large_psd(rng, 64, rank)
         p = inverse(s)
-        for call, arg in ((inverse, s), (forward, p), (cholesky_factor, p)):
+        for call, arg in ((inverse, s), (forward, _fresh(p)), (cholesky_factor, _fresh(p))):
             tracemalloc.start()
             try:
                 call(arg)
-                peak = tracemalloc.get_traced_memory()[1]
+                current, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert peak < 2 * 2 ** 20, (rank, call.__name__)
+            if call is forward:
+                assert current < 256 * 2 ** 10, rank
+
+
+def test_synthesis_is_kept_until_a_field_changes(synthesis_runs):
+    """forward and cholesky_factor on one SchurParams, in either order and
+    twice each, run the band loop once and give a fresh copy's bytes.  An
+    in-place edit of gamma, a reassigned diag, a flipped mask entry and a
+    +0.0 made -0.0 each force one fresh run, which gives a fresh copy's
+    bytes.  Writing into an output leaves the kept synthesis as it was."""
+    rng = np.random.default_rng(1301)
+    p = inverse(_large_psd(rng, 9, 4))  # masked entries past band 4
+
+    def fresh_bytes(p):
+        q = _fresh(p)
+        return {forward: forward(q).tobytes(), cholesky_factor: cholesky_factor(q).tobytes()}
+
+    for order in ((forward, cholesky_factor), (cholesky_factor, forward)):
+        q = _fresh(p)
+        want = fresh_bytes(q)
+        before = len(synthesis_runs)
+        assert [call(q).tobytes() for call in order + order] == [want[c] for c in order + order]
+        assert len(synthesis_runs) == before + 1
+        order[0](q)[...] = 7.0
+        assert [call(q).tobytes() for call in order] == [want[c] for c in order]
+        assert len(synthesis_runs) == before + 1
+
+    masked = tuple(np.argwhere(np.triu(~p.defined, 1))[0])
+    live = tuple(np.argwhere(p.defined)[-1])
+
+    def edit_gamma(q):
+        q.gamma[live] *= 0.5
+
+    def reassign_diag(q):
+        q.diag = 2.0 * q.diag
+
+    def flip_defined(q):
+        q.defined[masked] = True  # its gamma is 0, so still valid
+
+    def negative_zero(q):
+        assert q.gamma[masked] == 0 and not np.signbit(q.gamma[masked].real)
+        q.gamma.real[masked] = -0.0
+
+    for edit in (edit_gamma, reassign_diag, flip_defined, negative_zero):
+        q = _fresh(p)
+        forward(q), cholesky_factor(q)
+        edit(q)
+        want = fresh_bytes(q)
+        before = len(synthesis_runs)
+        assert [forward(q).tobytes(), cholesky_factor(q).tobytes()] == \
+            [want[forward], want[cholesky_factor]], edit.__name__
+        assert len(synthesis_runs) == before + 1, edit.__name__
 
 
 def test_is_psd_agrees_with_eigen_oracle():
