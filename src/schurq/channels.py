@@ -84,7 +84,7 @@ def _check_dims(d_in: int, d_out: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearMap:
     """Linear map between matrix spaces, stored by its action on units.
 
@@ -104,7 +104,7 @@ class LinearMap:
                 f"d_in={self.d_in}, d_out={self.d_out}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     """Block matrix [Phi(E_kj)] of size d_in*d_out, blocks d_out x d_out."""
 
@@ -119,7 +119,7 @@ class ChoiMatrix:
             raise ValueError(f"Choi matrix shape {self.s.shape}, expected {(n, n)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausSet:
     """Generators of a completely positive map, negligible generators dropped.
 
@@ -141,7 +141,7 @@ class KrausSet:
         return np.stack([k.conj().T.reshape(n) for k in self.generators])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QubitChannelNF:
     """Qubit-channel normal form: unital part diag(lam), translation t.
 
@@ -154,7 +154,7 @@ class QubitChannelNF:
     lam: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QubitNFReport:
     """Eight-inequality complete-positivity report for the qubit normal form.
 
@@ -272,13 +272,7 @@ def kraus_from_choi(c: ChoiMatrix) -> KrausSet:
     so a KrausSet is trustworthy by construction.  Propagates NotPSDError
     when the Choi matrix is not PSD.
     """
-    return _kraus_from_params(c, *_choi_params(c))
-
-
-def _choi_params(c: ChoiMatrix):
-    """The one extraction that Kraus generators and capacity both read:
-    ``(S, params, lattice)``."""
-    return _extract(c.s)
+    return _kraus_from_params(c, *_extract(c.s))
 
 
 def _kraus_from_params(c, s, params, lat) -> KrausSet:
@@ -313,7 +307,7 @@ def capacity_D(c: ChoiMatrix) -> float:
     matrices assembled in floating point are still flagged.  Requires a
     completely positive input (NotPSDError propagates otherwise).
     """
-    return _capacity_from_params(_choi_params(c)[1])
+    return _capacity_from_params(_extract(c.s)[1])
 
 
 def _capacity_from_params(params: SchurParams) -> float:
@@ -450,7 +444,6 @@ def qubit_nf_params(nf: QubitChannelNF) -> tuple[SchurParams, QubitNFReport]:
     place(0, 3, s14 - lvec[0] * lvec[3] * known14, d13 * d24)
 
     params = SchurParams(4, lvec, gmat, defined)
-    params.validate()
 
     def slack(label: tuple[int, int]) -> float:
         return 1.0 - abs(gamma[label]) if gamma[label] is not None else 1.0

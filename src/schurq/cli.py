@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .channels import ChoiMatrix, _capacity_from_params, _choi_params, _kraus_from_params
+from .channels import ChoiMatrix, _capacity_from_params, _kraus_from_params
 from .displacement import displacement_inverse
 from .fileio import (
     dumps_canonical,
@@ -33,7 +33,7 @@ from .fileio import (
     write_text,
 )
 from .linalg import NotPSDError
-from .params import cholesky_factor, forward, inverse
+from .params import _extract, cholesky_factor, forward, inverse
 from .rng import random_choi, random_psd, random_state
 from .states import (
     entropy_E,
@@ -135,7 +135,7 @@ def cmd_channel(args) -> int:
             f"--dout {args.dout}")
     c = ChoiMatrix(args.din, args.dout, m)
     try:
-        s, params, lat = _choi_params(c)  # NotPSDError -> exit 2
+        s, params, lat = _extract(c.s)  # NotPSDError -> exit 2
         ks = _kraus_from_params(c, s, params, lat)
     except ValueError as exc:
         if isinstance(exc, NotPSDError):

@@ -150,8 +150,7 @@ def displacement_inverse(s: np.ndarray) -> SchurParams:
             if on_circle:
                 u[circle] = v[circle] = 0.0
 
-    params = SchurParams(d, lvec, gamma[:, :d].copy(), defined[:, :d].copy())
-    params.validate()
+    params = SchurParams(d, lvec, gamma[:, :d], defined[:, :d])
     err = maxnorm(forward(params) - s)
     if err > 50.0 * d * entry_tol:
         raise NotPSDError("reconstruction mismatch after extraction",

@@ -176,6 +176,4 @@ def params_from_obj(obj: dict) -> SchurParams:
         seen.add((k, j))
         gamma[k - 1, j - 1] = val
         defined[k - 1, j - 1] = flag
-    params = SchurParams(d, dvec, gamma, defined)
-    params.validate()
-    return params
+    return SchurParams(d, dvec, gamma, defined)

@@ -18,8 +18,9 @@ every window one step out.  Synthesis carries coefficient rows and sets ``S_kj
 carries the rows times ``S`` (the Schur form, accurate on ill-conditioned
 input) and reads ``a`` off an entry.  Finally ``g[j]`` is x_j's residual given
 x_0..x_{j-1}, which yields ``G``.  O(d^3) time and O(d^2) memory in all.
-A :class:`SchurParams` keeps its last synthesis, so :func:`forward` and
-:func:`cholesky_factor` on one parameter set run the lattice once.
+A :class:`SchurParams` is immutable and keeps its synthesis, so
+:func:`forward` and :func:`cholesky_factor` on one parameter set run the
+lattice once.
 
 Degenerate entries: when the divisor is numerically zero, ``S_kj`` carries no
 information about ``gamma[k, j]``; the parameter is stored as 0 with
@@ -89,28 +90,34 @@ def defect(g: np.ndarray | complex) -> np.ndarray | float:
     return np.sqrt(np.maximum(1.0 - mod2, 0.0))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SchurParams:
     """Diagonal factors plus unit-disc parameters of a PSD matrix.
 
     ``gamma`` and ``defined`` are full (d, d) arrays of which only the strict
     upper triangle is meaningful; everything else is fixed to 0 / False.
-    ``_synthesis`` is the last synthesis with the fields it came from
-    (:func:`_synthesize`).
+    An immutable value: construction copies the arrays, marks the copies
+    read-only and validates them, and the synthesis (:func:`_synthesize`)
+    is kept for the object's lifetime.  Compares by identity.
     """
 
     dim: int
     diag: np.ndarray
     gamma: np.ndarray
     defined: np.ndarray = field(default=None)  # type: ignore[assignment]
-    _synthesis: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.diag = np.asarray(self.diag, dtype=np.float64)
-        self.gamma = np.asarray(self.gamma, dtype=np.complex128)
-        if self.defined is None:
-            self.defined = np.triu(np.ones((self.dim, self.dim), dtype=bool), 1)
-        self.defined = np.asarray(self.defined, dtype=bool)
+        d = self.dim
+        arrays = {"diag": np.array(self.diag, dtype=np.float64),
+                  "gamma": np.array(self.gamma, dtype=np.complex128),
+                  "defined": np.triu(np.ones((d, d), dtype=bool), 1) if self.defined is None
+                  else np.array(self.defined, dtype=bool)}
+        for name, a in arrays.items():  # own, read-only copies
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        self.validate()
+
+    _synthesis = functools.cached_property(lambda self: _synthesize(self))
 
     def validate(self) -> None:
         d = self.dim
@@ -291,19 +298,10 @@ def _band_diagonal(m: np.ndarray, b: int) -> np.ndarray:
 
 def _synthesize(params: SchurParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Upper triangle of the matrix of ``params``, and the coefficient rows
-    ``g`` and column defect products ``dr`` of the final lattice.
-
-    ``params`` keeps the last result with its ``dim`` and the dtype, shape
-    and bytes of its arrays, and returns it while they stay the same (bit
-    patterns, so a -0.0 for a +0.0 is a change).  Callers must not write
-    into it."""
-    params.validate()
+    ``g`` and column defect products ``dr`` of the final lattice.  Read it
+    as ``params._synthesis``, which keeps it; callers must not write into
+    it."""
     d, lvec = params.dim, params.diag
-    key = (d,) + tuple((a.dtype, a.shape, a.tobytes())
-                       for a in (lvec, params.gamma, params.defined))
-    kept = params._synthesis
-    if kept is not None and kept[0] == key:
-        return kept[1]
     s = np.diag((lvec * lvec).astype(np.complex128))
     lat = _Lattice(lvec, np.eye(d, dtype=np.complex128))
     dgs = defect(params.gamma)
@@ -315,7 +313,6 @@ def _synthesize(params: SchurParams) -> tuple[np.ndarray, np.ndarray, np.ndarray
         known = np.einsum("ki,ik->k", lat.f[:d - b], s[:, b:])  # reads the upper part
         _band_diagonal(s, b)[:] = gam * divisor - known
         lat.absorb(b, gam, dgs.diagonal(b), divisor > 0.0)
-    params._synthesis = key, (s, lat.g, lat.dr)
     return s, lat.g, lat.dr
 
 
@@ -334,13 +331,13 @@ def cholesky_factor(params: SchurParams) -> np.ndarray:
     ``G[j, j]`` is column j's defect product.  Above it, row j holds the
     covariances of x_j's residual given x_0..x_{j-1} over its standard
     deviation and ``L_l``, or 0 where either vanishes (a zero pivot row)."""
-    s, g, dr = _synthesize(params)  # (B S)[j, l] for l >= j reads only the upper part
+    s, g, dr = params._synthesis  # (B S)[j, l] for l >= j reads only the upper part
     return _factor(g @ s, params.diag, dr)
 
 
 def forward(params: SchurParams) -> np.ndarray:
     """Synthesize the PSD matrix with the given parameters."""
-    s = _synthesize(params)[0]
+    s = params._synthesis[0]
     return s + np.triu(s, 1).conj().T
 
 
@@ -384,9 +381,7 @@ def _extract(s: np.ndarray) -> tuple[np.ndarray, SchurParams, _Lattice]:
             _band_diagonal(defined, b)[:] = ~masked
         if b < d - 1:
             lat.absorb(b, gam, dg, ~masked)
-    params = SchurParams(d, lvec, gamma, defined)
-    params.validate()
-    return s, params, lat
+    return s, SchurParams(d, lvec, gamma, defined), lat
 
 
 def _tail_windows(d: int, b: int) -> tuple[np.ndarray, np.ndarray]:

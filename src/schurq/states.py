@@ -129,7 +129,7 @@ def _rho_of(d: int, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 # States
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityState:
     """A trace-one PSD matrix with its basis coefficients and parameters.
 

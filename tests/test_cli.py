@@ -375,6 +375,7 @@ def test_channel_extracts_once(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(module, name, call)
 
     counted(channels, "_extract")
+    counted(cli, "_extract")
     counted(params, "cholesky_factor")
     counted(cli, "cholesky_factor")
     assert main(["channel", "--choi", str(GOLDEN / "depol_choi.json"),

@@ -1,10 +1,19 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from schurq.channels import ChoiMatrix, capacity_D, kraus_from_choi
+from schurq.channels import (
+    ChoiMatrix,
+    QubitChannelNF,
+    capacity_D,
+    choi_from_map,
+    identity_channel,
+    kraus_from_choi,
+    qubit_nf_params,
+)
 from schurq.linalg import (
     NotPSDError,
     maxnorm,
@@ -496,15 +505,15 @@ def test_is_psd_via_params():
 
 def _fresh(p):
     """A copy of ``p`` that has not been synthesized."""
-    return SchurParams(p.dim, p.diag.copy(), p.gamma.copy(), p.defined.copy())
+    return SchurParams(p.dim, p.diag, p.gamma, p.defined)
 
 
 def test_memory_stays_quadratic():
     """No O(d^4) table: inverse, forward and cholesky_factor at d=64 peak
     under 2 MB, at full rank and on the rank-deficient path (dead bands),
     each synthesis on parameters not synthesized before.  The synthesis a
-    SchurParams keeps holds under 256 KiB: the upper triangle, the
-    coefficient rows and a copy of gamma, 64 KiB each, and small arrays."""
+    SchurParams keeps holds under 160 KiB: the upper triangle and the
+    coefficient rows, 64 KiB each, and the defect products."""
     rng = np.random.default_rng(62)
     for rank in (128, 16, 1):
         s = _large_psd(rng, 64, rank)
@@ -518,15 +527,16 @@ def test_memory_stays_quadratic():
                 tracemalloc.stop()
             assert peak < 2 * 2 ** 20, (rank, call.__name__)
             if call is forward:
-                assert current < 256 * 2 ** 10, rank
+                assert current < 160 * 2 ** 10, rank
 
 
-def test_synthesis_is_kept_until_a_field_changes(synthesis_runs):
+def test_synthesis_is_kept_and_fields_are_read_only(synthesis_runs):
     """forward and cholesky_factor on one SchurParams, in either order and
-    twice each, run the band loop once and give a fresh copy's bytes.  An
-    in-place edit of gamma, a reassigned diag, a flipped mask entry and a
-    +0.0 made -0.0 each force one fresh run, which gives a fresh copy's
-    bytes.  Writing into an output leaves the kept synthesis as it was."""
+    twice each, run the band loop once and give a fresh copy's bytes.
+    Writing into an output leaves the kept synthesis as it was.  No field
+    can change: in-place writes and reassignments raise, and writing into
+    the caller's source arrays after construction reaches neither the
+    parameters nor the outputs."""
     rng = np.random.default_rng(1301)
     p = inverse(_large_psd(rng, 9, 4))  # masked entries past band 4
 
@@ -534,9 +544,9 @@ def test_synthesis_is_kept_until_a_field_changes(synthesis_runs):
         q = _fresh(p)
         return {forward: forward(q).tobytes(), cholesky_factor: cholesky_factor(q).tobytes()}
 
+    want = fresh_bytes(p)
     for order in ((forward, cholesky_factor), (cholesky_factor, forward)):
         q = _fresh(p)
-        want = fresh_bytes(q)
         before = len(synthesis_runs)
         assert [call(q).tobytes() for call in order + order] == [want[c] for c in order + order]
         assert len(synthesis_runs) == before + 1
@@ -546,29 +556,41 @@ def test_synthesis_is_kept_until_a_field_changes(synthesis_runs):
 
     masked = tuple(np.argwhere(np.triu(~p.defined, 1))[0])
     live = tuple(np.argwhere(p.defined)[-1])
+    for target, index, value in ((p.gamma, live, 0.25), (p.diag, 0, 2.0),
+                                 (p.defined, masked, True), (p.gamma.real, masked, -0.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            target[index] = value
+    for name in ("dim", "diag", "gamma", "defined", "_synthesis"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, getattr(p, name))
 
-    def edit_gamma(q):
-        q.gamma[live] *= 0.5
+    diag, gamma, defined = p.diag.copy(), p.gamma.copy(), p.defined.copy()
+    q = SchurParams(p.dim, diag, gamma, defined)
+    diag *= 2.0
+    gamma[live] *= 0.5
+    defined[masked] = True
+    assert [a.tobytes() for a in (q.diag, q.gamma, q.defined)] == \
+        [a.tobytes() for a in (p.diag, p.gamma, p.defined)]
+    assert [forward(q).tobytes(), cholesky_factor(q).tobytes()] == \
+        [want[forward], want[cholesky_factor]]
 
-    def reassign_diag(q):
-        q.diag = 2.0 * q.diag
 
-    def flip_defined(q):
-        q.defined[masked] = True  # its gamma is 0, so still valid
-
-    def negative_zero(q):
-        assert q.gamma[masked] == 0 and not np.signbit(q.gamma[masked].real)
-        q.gamma.real[masked] = -0.0
-
-    for edit in (edit_gamma, reassign_diag, flip_defined, negative_zero):
-        q = _fresh(p)
-        forward(q), cholesky_factor(q)
-        edit(q)
-        want = fresh_bytes(q)
-        before = len(synthesis_runs)
-        assert [forward(q).tobytes(), cholesky_factor(q).tobytes()] == \
-            [want[forward], want[cholesky_factor]], edit.__name__
-        assert len(synthesis_runs) == before + 1, edit.__name__
+@pytest.mark.parametrize("build", [
+    lambda: inverse(np.eye(3)),
+    lambda: state_from_matrix(np.eye(3) / 3.0),
+    lambda: identity_channel(2),
+    lambda: choi_from_map(identity_channel(2)),
+    lambda: kraus_from_choi(choi_from_map(identity_channel(2))),
+    lambda: QubitChannelNF(np.zeros(3), np.full(3, 0.5)),
+    lambda: qubit_nf_params(QubitChannelNF(np.zeros(3), np.full(3, 0.5)))[1],
+], ids=["SchurParams", "DensityState", "LinearMap", "ChoiMatrix", "KrausSet",
+        "QubitChannelNF", "QubitNFReport"])
+def test_array_holders_compare_by_identity(build):
+    """A value that holds arrays compares and hashes by identity: ``==``
+    and ``hash`` do not raise, and two equal builds are not equal."""
+    a, b = build(), build()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
 def test_is_psd_agrees_with_eigen_oracle():
@@ -604,33 +626,34 @@ _VALIDATE_MESSAGES = {
 
 
 def test_validate_rejects_bad_params():
-    """Each of the seven checks rejects with its own message."""
+    """Each of the seven checks rejects construction with its own message."""
     cases = {
-        "shape": SchurParams(3, np.ones(2), np.zeros((3, 3), dtype=complex)),
-        "finite": _bad_params(g01=np.nan),
-        "diag": _bad_params(diag=(1.0, -1.0, 1.0)),
-        "lower gamma": _bad_params(g10=0.5),
-        "lower defined": _bad_params(m21=True),
-        "disc": _bad_params(g02=1.5),
-        "masked": _bad_params(g12=0.5, n12=False),
+        "shape": lambda: SchurParams(3, np.ones(2), np.zeros((3, 3), dtype=complex)),
+        "finite": lambda: _bad_params(g01=np.nan),
+        "diag": lambda: _bad_params(diag=(1.0, -1.0, 1.0)),
+        "lower gamma": lambda: _bad_params(g10=0.5),
+        "lower defined": lambda: _bad_params(m21=True),
+        "disc": lambda: _bad_params(g02=1.5),
+        "masked": lambda: _bad_params(g12=0.5, n12=False),
     }
-    for name, params in cases.items():
+    for name, build in cases.items():
         with pytest.raises(ValueError, match=f"^{_VALIDATE_MESSAGES[name]}$"):
-            params.validate()
+            build()
     _bad_params(g01=1.0 + 0.5e-10, g12=-0.3j).validate()  # inside the allowance
 
 
 def test_validate_check_order():
-    """When two checks fail, the one listed first in ``validate`` reports."""
+    """When two checks fail, the one listed first in ``validate`` reports,
+    at construction."""
     cases = [
-        ("shape", SchurParams(3, np.array([np.nan, 1.0]),
-                              np.zeros((3, 3), dtype=complex))),
-        ("finite", _bad_params(diag=(np.inf, -1.0, 1.0))),
-        ("diag", _bad_params(diag=(1.0, 1.0, -2.0), g20=0.5)),
-        ("lower gamma", _bad_params(g21=0.5, m10=True)),
-        ("lower defined", _bad_params(m20=True, g01=2.0)),
-        ("disc", _bad_params(g01=2.0, n01=False)),
+        ("shape", lambda: SchurParams(3, np.array([np.nan, 1.0]),
+                                      np.zeros((3, 3), dtype=complex))),
+        ("finite", lambda: _bad_params(diag=(np.inf, -1.0, 1.0))),
+        ("diag", lambda: _bad_params(diag=(1.0, 1.0, -2.0), g20=0.5)),
+        ("lower gamma", lambda: _bad_params(g21=0.5, m10=True)),
+        ("lower defined", lambda: _bad_params(m20=True, g01=2.0)),
+        ("disc", lambda: _bad_params(g01=2.0, n01=False)),
     ]
-    for name, params in cases:
+    for name, build in cases:
         with pytest.raises(ValueError, match=f"^{_VALIDATE_MESSAGES[name]}$"):
-            params.validate()
+            build()

@@ -493,11 +493,9 @@ def test_tensor_with_identity_spreads_parameters():
 
 def test_tensor_dimension_mismatch():
     rng = np.random.default_rng(20)
-    p1 = _two_by_two(rng)
     p2 = _two_by_two(rng)
-    p2.diag = np.ones(3)  # three diagonal factors for a 2x2 matrix
     with pytest.raises(ValueError, match="inconsistent shapes"):
-        tensor_params(p1, p2)
+        SchurParams(2, np.ones(3), p2.gamma)  # three diagonal factors for a 2x2 matrix
 
 
 # ---------------------------------------------------------------------------
