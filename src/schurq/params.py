@@ -14,13 +14,16 @@ step scales a residual variance by ``1 - |gamma|^2``, so the residuals'
 covariance ``a`` is gamma times ``L_k L_j dl[k] dr[j]``, the divisor of the
 entry expansion.  ``f -= (a / var_g) g``, ``g -= (conj(a) / var_f) f`` moves
 every window one step out.  Synthesis carries coefficient rows and sets ``S_kj
-= gamma * divisor - f[k] . S[:, j]`` while ``S_kj`` is 0; extraction
-carries the rows times ``S`` (the Schur form, accurate on ill-conditioned
-input) and reads ``a`` off an entry.  Finally ``g[j]`` is x_j's residual given
-x_0..x_{j-1}, which yields ``G``.  O(d^3) time and O(d^2) memory in all.
-A :class:`SchurParams` is immutable and keeps its synthesis, so
-:func:`forward` and :func:`cholesky_factor` on one parameter set run the
-lattice once.
+= gamma * divisor - f[k] . S[:, j]`` while ``S_kj`` is 0; it knows every
+parameter up front, so it reads every window's defect products, divisor and
+update coefficients off them at once, and its band loop only writes entries
+and updates rows.  Extraction learns a band's parameters only when it reaches
+it: :class:`_Lattice` carries the rows times ``S`` (the Schur form, accurate
+on ill-conditioned input) and the defect products, and reads ``a`` off an
+entry.  Finally ``g[j]`` is x_j's residual given x_0..x_{j-1}, which yields
+``G``.  O(d^3) time and O(d^2) memory in all.  A :class:`SchurParams` is
+immutable and keeps its synthesis, so :func:`forward` and
+:func:`cholesky_factor` on one parameter set synthesize once.
 
 Degenerate entries: when the divisor is numerically zero, ``S_kj`` carries no
 information about ``gamma[k, j]``; the parameter is stored as 0 with
@@ -32,7 +35,7 @@ extraction (and every entry of the qubit normal form's closed forms).  A
 masked window does not move the lattice (its parameter is 0, its defect 1),
 and a band of zero parameters skips the update.  Past band r of a generic
 rank-r input every window is masked (a dead band), so extraction and synthesis
-update the lattice for bands 1..r only.  A dead band moves no defect
+update their rows for bands 1..r only.  A dead band moves no defect
 product, so from it on every divisor is known: when all are degenerate (a
 dead tail), extraction checks the whole tail in one step.
 
@@ -110,7 +113,8 @@ class SchurParams:
         d = self.dim
         arrays = {"diag": np.array(self.diag, dtype=np.float64),
                   "gamma": np.array(self.gamma, dtype=np.complex128),
-                  "defined": np.triu(np.ones((d, d), dtype=bool), 1) if self.defined is None
+                  "defined": np.triu(np.ones((max(d, 0),) * 2, dtype=bool), 1)
+                  if self.defined is None  # a bad dim is validate's to report
                   else np.array(self.defined, dtype=bool)}
         for name, a in arrays.items():  # own, read-only copies
             a.setflags(write=False)
@@ -218,19 +222,19 @@ def _entry_step(cov, ll, dprod, scale: float):
 class _Lattice:
     """Before band b, ``f[k]``, ``g[k+b]`` are window [k, k+b]'s residual rows.
 
-    The lattice takes over ``rows``: the identity gives coefficient rows,
-    ``S`` covariances with every x_l (so ``f[k, k+b]`` is the window's
-    covariance).  With a ``log``, every update is recorded until
-    :meth:`widen` replays the log on the identity and appends its
-    coefficient rows: ``[S | I]``, every x_l followed by coefficients.  One
-    linear update serves both.  ``tail`` is the first band of a dead tail
-    whose removals from ``g`` are pending (:func:`_dead_tail`), or None.
+    Extraction's lattice.  It takes over ``rows``, ``S``: covariances with
+    every x_l (so ``f[k, k+b]`` is the window's covariance).  Every update
+    is logged until :meth:`widen` replays the log on the identity and
+    appends its coefficient rows: ``[S | I]``, every x_l followed by
+    coefficients.  One linear update serves both.  ``tail`` is the first
+    band of a dead tail whose removals from ``g`` are pending
+    (:func:`_dead_tail`), or None.
     """
 
-    def __init__(self, lvec: np.ndarray, rows: np.ndarray, log: list | None = None):
+    def __init__(self, lvec: np.ndarray, rows: np.ndarray):
         self.lvec, self.f, self.g = lvec, rows, rows.copy()
         self.dl, self.dr = np.ones(lvec.shape[0]), np.ones(lvec.shape[0])
-        self.log, self.tail = log, None
+        self.log, self.tail = [], None
 
     def window(self, b: int) -> tuple[np.ndarray, np.ndarray]:
         """``(L_k L_{k+b}, dl[k] dr[k+b])`` of every window of band b; their
@@ -300,20 +304,47 @@ def _synthesize(params: SchurParams) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """Upper triangle of the matrix of ``params``, and the coefficient rows
     ``g`` and column defect products ``dr`` of the final lattice.  Read it
     as ``params._synthesis``, which keeps it; callers must not write into
-    it."""
-    d, lvec = params.dim, params.diag
+    it.
+
+    Every parameter is known up front, and so are the lattice's defect
+    products: before band b, ``dl[k]`` is the product of the defects of
+    ``gamma[k, k+1..k+b-1]`` and ``dr[j]`` that of ``gamma[j-1..j-b+1, j]``,
+    in band order (a masked, zero or skipped parameter has defect 1.0).
+    Running products along each row, and up each column from the bottom,
+    multiply in that order.  So they give every window's products, divisor
+    and update coefficients at once, bit for bit as a band step computes
+    them.  Those arrays are indexed [k, j-1] for window [k, j]: band b is
+    their diagonal b-1.  The band loop only writes the entries and updates
+    the rows."""
+    d, lvec, gamma = params.dim, params.diag, params.gamma
+    n = d - 1
+    dgs = defect(gamma)
+    cols = np.cumprod(dgs[::-1], axis=0)[::-1]  # cols[i, j]: rows i.. of column j
+    dl, dr, dr_final = np.cumprod(dgs, axis=1)[:n, :n], cols[1:, 1:], cols[0].copy()
+    sl, sr = lvec[:n, None] * dl, lvec[1:] * dr  # sd(f[k]), sd(g[j])
+    divisor = lvec[:n, None] * lvec[1:]
+    divisor *= np.multiply(dl, dr, out=dl)
+    del dgs, cols, dl, dr
+    gam = gamma[:n, 1:]
+    target = gam * divisor
+    # coef[k, j] = cf and coef[j, k] = cg of window [k, j]; the rows of a
+    # window with a zero-variance residual stay (coefficients +0)
+    coef, live = np.zeros((d, d), dtype=np.complex128), (divisor > 0.0) & _lower(n).T
+    np.multiply(gam, np.divide(sl, sr, out=divisor, where=live),
+                out=coef[:n, 1:], where=live)
+    np.multiply(np.conj(gam), np.divide(sr, sl, out=sr, where=live),
+                out=coef[1:, :n].T, where=live)
+    del sl, sr, divisor, live, gam  # before the rows exist: a lower peak
     s = np.diag((lvec * lvec).astype(np.complex128))
-    lat = _Lattice(lvec, np.eye(d, dtype=np.complex128))
-    dgs = defect(params.gamma)
+    f = np.eye(d, dtype=np.complex128)
+    g = f.copy()
     for b in range(1, d):
-        ll, dprod = lat.window(b)
-        divisor = ll * dprod
-        gam = params.gamma.diagonal(b)
         # f[k] . S[:, k+b] while S[k, k+b] is still 0: the projected part.
-        known = np.einsum("ki,ik->k", lat.f[:d - b], s[:, b:])  # reads the upper part
-        _band_diagonal(s, b)[:] = gam * divisor - known
-        lat.absorb(b, gam, dgs.diagonal(b), divisor > 0.0)
-    return s, lat.g, lat.dr
+        known = np.einsum("ki,ik->k", f[:d - b], s[:, b:])  # reads the upper part
+        _band_diagonal(s, b)[:] = target.diagonal(b - 1) - known
+        if np.count_nonzero(gamma.diagonal(b)):
+            _update(f[:d - b], g[b:], coef.diagonal(b), coef.diagonal(-b))
+    return s, g, dr_final
 
 
 def _factor(bs: np.ndarray, lvec: np.ndarray, dr: np.ndarray) -> np.ndarray:
@@ -360,7 +391,7 @@ def _extract(s: np.ndarray) -> tuple[np.ndarray, SchurParams, _Lattice]:
     s, lvec, scale = _preamble(s)
     d = s.shape[0]
     gamma, defined = np.zeros((d, d), dtype=np.complex128), ~_lower(d)
-    lat = _Lattice(lvec, s.copy(), log=[])
+    lat = _Lattice(lvec, s.copy())
     gamma_flat = gamma.reshape(-1)
     for b in range(1, d):
         ll, dprod = lat.window(b)

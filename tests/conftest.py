@@ -17,16 +17,17 @@ os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
 
 @pytest.fixture
 def synthesis_runs(monkeypatch) -> list:
-    """A list that grows by one each time ``params`` builds a lattice: in
-    ``forward`` and ``cholesky_factor``, each run of the synthesis band loop."""
+    """A list that grows by one each time ``params._synthesize`` runs: in
+    ``forward`` and ``cholesky_factor``, each run of the synthesis band loop.
+    ``SchurParams._synthesis`` looks the name up when it is first read."""
     import schurq.params as params
 
     runs = []
+    synthesize = params._synthesize
 
-    class CountedLattice(params._Lattice):
-        def __init__(self, *args, **kwargs):
-            runs.append(None)
-            super().__init__(*args, **kwargs)
+    def counted_synthesize(*args, **kwargs):
+        runs.append(None)
+        return synthesize(*args, **kwargs)
 
-    monkeypatch.setattr(params, "_Lattice", CountedLattice)
+    monkeypatch.setattr(params, "_synthesize", counted_synthesize)
     return runs

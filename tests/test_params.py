@@ -285,12 +285,13 @@ def test_boundary_masking_kills_dependent_entries():
 @pytest.mark.parametrize("d", [8, 16, 32])
 def test_rank_deficient_bands_are_dead(d, monkeypatch):
     """Generic rank r: every window wider than r + 1 has a zero-variance
-    residual, so every parameter past band r is masked, and such a dead band
-    leaves the lattice (f, g, dl, dr) as it was, in extraction and synthesis."""
+    residual, so every parameter past band r is masked.  Such a dead band
+    leaves extraction's lattice (f, g, dl, dr) as it was, and synthesis
+    updates its rows for bands 1..r only."""
     import schurq.params as params
 
-    moved = []
-    absorb = params._Lattice.absorb
+    moved, updated = [], []
+    absorb, update = params._Lattice.absorb, params._update
 
     def watched_absorb(lat, b, *args):
         before = [a.copy() for a in (lat.f, lat.g, lat.dl, lat.dr)]
@@ -299,7 +300,12 @@ def test_rank_deficient_bands_are_dead(d, monkeypatch):
         if not all(np.array_equal(x, y) for x, y in zip(before, after)):
             moved.append(b)
 
+    def watched_update(f, g, cf, cg):
+        updated.append(d - f.shape[0])  # band b updates rows f[:d-b]
+        update(f, g, cf, cg)
+
     monkeypatch.setattr(params._Lattice, "absorb", watched_absorb)
+    monkeypatch.setattr(params, "_update", watched_update)
     rng = np.random.default_rng(70 + d)
     band = np.arange(d)[None, :] - np.arange(d)[:, None]  # j - k
     for r in (1, d // 4, d // 2):
@@ -308,9 +314,9 @@ def test_rank_deficient_bands_are_dead(d, monkeypatch):
         p = inverse(s)
         assert np.array_equal(p.defined, (band >= 1) & (band <= r)), r
         assert moved == list(range(1, r + 1)), r
-        moved.clear()
+        updated.clear()
         rebuilt = forward(p)
-        assert moved == list(range(1, r + 1)), r
+        assert updated == list(range(1, r + 1)), r
         assert maxnorm(rebuilt - s) <= 1e-12 * maxnorm(s), r
 
 
@@ -575,6 +581,79 @@ def test_synthesis_is_kept_and_fields_are_read_only(synthesis_runs):
         [want[forward], want[cholesky_factor]]
 
 
+def _reference_synthesis(p: SchurParams):
+    """``_synthesize`` as one lattice step per band, each band's divisors and
+    coefficients taken from the lattice's running defect products.  Returns
+    ``(s, g, dr)`` and the number of nonzero parameters behind a zero
+    divisor."""
+    import schurq.params as params
+
+    d, lvec = p.dim, p.diag
+    s = np.diag((lvec * lvec).astype(np.complex128))
+    lat = params._Lattice(lvec, np.eye(d, dtype=np.complex128))
+    dgs = params.defect(p.gamma)
+    hidden = 0
+    for b in range(1, d):
+        ll, dprod = lat.window(b)
+        divisor = ll * dprod
+        gam = p.gamma.diagonal(b)
+        hidden += np.count_nonzero(gam[~(divisor > 0.0)])
+        # f[k] . S[:, k+b] while S[k, k+b] is still 0: the projected part.
+        known = np.einsum("ki,ik->k", lat.f[:d - b], s[:, b:])
+        params._band_diagonal(s, b)[:] = gam * divisor - known
+        lat.absorb(b, gam, dgs.diagonal(b), divisor > 0.0)
+    return (s, lat.g, lat.dr), hidden
+
+
+def _edge_params(rng, d):
+    """Valid parameters with exact circle entries (+-1, +-i), e^{i theta}
+    entries, zeros, masked entries and zero diagonal factors."""
+    rows, cols = np.triu_indices(d, 1)
+    m = rows.shape[0]
+    z = rng.uniform(0.0, 1.0, m) * np.exp(2j * np.pi * rng.uniform(size=m))
+    kind = rng.integers(6, size=m)
+    z = np.where(kind == 0, rng.choice(np.array([1, -1, 1j, -1j]), m), z)
+    z = np.where(kind == 1, np.exp(2j * np.pi * rng.uniform(size=m)), z)
+    z = np.where(kind == 2, 0.0, z)
+    defined = np.zeros((d, d), dtype=bool)
+    defined[rows, cols] = rng.uniform(size=m) >= 0.2
+    gamma = np.zeros((d, d), dtype=complex)
+    gamma[rows, cols] = np.where(defined[rows, cols], z, 0.0)
+    diag = rng.uniform(0.1, 2.0, d)
+    diag[rng.uniform(size=d) < 0.15] = 0.0
+    return SchurParams(d, diag, gamma, defined)
+
+
+def test_synthesis_matches_band_by_band_reference():
+    """Synthesis reads every band's divisors and coefficients off the
+    parameters at once, and gives the band loop's matrix, coefficient rows,
+    defect products, forward and cholesky_factor byte for byte: on extracted
+    parameters (ranks 1, d/4, d/2 and d; a zero middle row) and on random
+    valid parameters whose circle entries and zero diagonal factors leave
+    nonzero parameters behind a zero divisor."""
+    import schurq.params as params
+
+    rng = np.random.default_rng(1501)
+    cases = []
+    for d in (1, 2, 3, 5, 8, 16, 32):
+        for r in sorted({1, max(1, d // 4), max(1, d // 2), d}):
+            s = _large_psd(rng, d, r)
+            cases.append(inverse(s))
+            if d > 2:
+                s[d // 2, :] = s[:, d // 2] = 0.0
+                cases.append(inverse(s))
+    cases += [_edge_params(rng, int(rng.integers(1, 25))) for _ in range(300)]
+    hidden = 0
+    for p in cases:
+        (s, g, dr), behind = _reference_synthesis(p)
+        hidden += behind
+        assert [a.tobytes() for a in params._synthesize(p)] == \
+            [a.tobytes() for a in (s, g, dr)], p.dim
+        assert forward(p).tobytes() == (s + np.triu(s, 1).conj().T).tobytes()
+        assert cholesky_factor(p).tobytes() == params._factor(g @ s, p.diag, dr).tobytes()
+    assert hidden > 0
+
+
 @pytest.mark.parametrize("build", [
     lambda: inverse(np.eye(3)),
     lambda: state_from_matrix(np.eye(3) / 3.0),
@@ -615,6 +694,7 @@ def _bad_params(diag=(1.0, 1.0, 1.0), **entries) -> SchurParams:
 
 
 _VALIDATE_MESSAGES = {
+    "dim": "dimension must be >= 1",
     "shape": "inconsistent shapes in SchurParams",
     "finite": "non-finite entries in SchurParams",
     "diag": "diagonal factors must be nonnegative",
@@ -626,8 +706,10 @@ _VALIDATE_MESSAGES = {
 
 
 def test_validate_rejects_bad_params():
-    """Each of the seven checks rejects construction with its own message."""
+    """Each of the eight checks rejects construction with its own message,
+    also with ``defined`` left at its default."""
     cases = {
+        "dim": lambda: SchurParams(-1, np.ones(1), np.zeros((1, 1), dtype=complex)),
         "shape": lambda: SchurParams(3, np.ones(2), np.zeros((3, 3), dtype=complex)),
         "finite": lambda: _bad_params(g01=np.nan),
         "diag": lambda: _bad_params(diag=(1.0, -1.0, 1.0)),
