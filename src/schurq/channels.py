@@ -31,19 +31,20 @@ bounds) that decide complete positivity, including the degenerate cases.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ConsistencyError, maxnorm
+from .linalg import DEFAULT_TOL, ConsistencyError, NotPSDError, maxnorm
 from .params import (
     SchurParams,
+    _Lattice,
     _entry_step,
     _extract,
     _logdet,
     _read_factor,
     defect,
-    is_psd_via_params,
 )
 
 __all__ = [
@@ -106,7 +107,17 @@ class LinearMap:
 
 @dataclass(frozen=True, eq=False)
 class ChoiMatrix:
-    """Block matrix [Phi(E_kj)] of size d_in*d_out, blocks d_out x d_out."""
+    """Block matrix [Phi(E_kj)] of size d_in*d_out, blocks d_out x d_out.
+
+    An immutable value: construction copies ``s`` into a read-only
+    complex128 array of its own, so a later write to the caller's array
+    does not reach it.  It keeps one extraction of ``s``, which
+    :func:`is_completely_positive`, :func:`kraus_from_choi` and
+    :func:`capacity_D` all read, and the scaled Cholesky factor read off
+    its lattice when Kraus generators are first asked for.  A rejection
+    (:class:`NotPSDError`) is not kept: every question raises it anew.
+    Compares by identity.
+    """
 
     d_in: int
     d_out: int
@@ -115,8 +126,32 @@ class ChoiMatrix:
     def __post_init__(self):
         _check_dims(self.d_in, self.d_out)
         n = self.d_in * self.d_out
-        if self.s.shape != (n, n):
-            raise ValueError(f"Choi matrix shape {self.s.shape}, expected {(n, n)}")
+        s = np.array(self.s, dtype=np.complex128)
+        if s.shape != (n, n):
+            raise ValueError(f"Choi matrix shape {s.shape}, expected {(n, n)}")
+        s.setflags(write=False)
+        object.__setattr__(self, "s", s)
+
+    def __copy__(self) -> ChoiMatrix:
+        # An immutable value is its own copy; a shallow copy of the kept
+        # extraction would share the lattice that _factor moves on.
+        return self
+
+    @functools.cached_property
+    def _extraction(self) -> tuple[np.ndarray, SchurParams, _Lattice | None]:
+        """Hermitian average of ``s``, its parameters, and the lattice
+        :func:`_read_factor` reads (None once :attr:`_factor` has read it)."""
+        return _extract(self.s)
+
+    @functools.cached_property
+    def _factor(self) -> np.ndarray:
+        """U = G diag(L) with S = U* U, read-only; read once, since
+        :func:`_read_factor` moves the lattice on."""
+        s, params, lat = self._extraction
+        u = _read_factor(params, lat) * params.diag[None, :]
+        u.setflags(write=False)
+        self.__dict__["_extraction"] = s, params, None  # no later reader
+        return u
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +243,7 @@ def choi_from_map(m: LinearMap) -> ChoiMatrix:
     :func:`map_from_choi`."""
     n = m.d_in * m.d_out
     m4 = m.action.reshape(m.d_out, m.d_out, m.d_in, m.d_in)
-    return ChoiMatrix(m.d_in, m.d_out, m4.transpose(2, 0, 3, 1).reshape(n, n).copy())
+    return ChoiMatrix(m.d_in, m.d_out, m4.transpose(2, 0, 3, 1).reshape(n, n))
 
 
 def map_from_choi(c: ChoiMatrix) -> LinearMap:
@@ -251,8 +286,12 @@ def is_unital(m: LinearMap) -> bool:
 
 
 def is_completely_positive(c: ChoiMatrix) -> bool:
-    """Positivity of the Choi matrix, via parameter extraction."""
-    return is_psd_via_params(c.s)
+    """Positivity of the Choi matrix, via its parameter extraction."""
+    try:
+        c._extraction
+    except NotPSDError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +309,12 @@ def kraus_from_choi(c: ChoiMatrix) -> KrausSet:
     factorization S = A* A is verified before returning; since the map is an
     exact reindexing of S, this also fixes the action on every matrix unit,
     so a KrausSet is trustworthy by construction.  Propagates NotPSDError
-    when the Choi matrix is not PSD.
+    when the Choi matrix is not PSD.  The generators are new arrays on
+    every call; the factor is read once per ChoiMatrix.
     """
-    return _kraus_from_params(c, *_extract(c.s))
-
-
-def _kraus_from_params(c, s, params, lat) -> KrausSet:
+    s = c._extraction[0]
+    u = c._factor
     scale = maxnorm(s)
-    u = _read_factor(params, lat) * params.diag[None, :]
     check_tol = DEFAULT_TOL.abs_eps * max(1.0, scale)
     # Row u_n adds u_n* u_n, of max-norm max|u_n|^2, to A* A, so the rows
     # dropped here add at most check_tol together: the check cannot see them.
@@ -307,10 +344,7 @@ def capacity_D(c: ChoiMatrix) -> float:
     matrices assembled in floating point are still flagged.  Requires a
     completely positive input (NotPSDError propagates otherwise).
     """
-    return _capacity_from_params(_extract(c.s)[1])
-
-
-def _capacity_from_params(params: SchurParams) -> float:
+    params = c._extraction[1]
     return 0.0 - _logdet(params) / params.dim  # +0.0, not -0.0, when det S = 1
 
 
@@ -328,7 +362,7 @@ def choi_tensor(c1: ChoiMatrix, c2: ChoiMatrix) -> ChoiMatrix:
     d_in = c1.d_in * c2.d_in
     d_out = c1.d_out * c2.d_out
     n = d_in * d_out
-    return ChoiMatrix(d_in, d_out, out.reshape(n, n).copy())
+    return ChoiMatrix(d_in, d_out, out.reshape(n, n))
 
 
 # ---------------------------------------------------------------------------

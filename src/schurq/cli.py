@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .channels import ChoiMatrix, _capacity_from_params, _kraus_from_params
+from .channels import ChoiMatrix, capacity_D, kraus_from_choi
 from .displacement import displacement_inverse
 from .fileio import (
     dumps_canonical,
@@ -33,7 +33,7 @@ from .fileio import (
     write_text,
 )
 from .linalg import NotPSDError
-from .params import _extract, cholesky_factor, forward, inverse
+from .params import cholesky_factor, forward, inverse
 from .rng import random_choi, random_psd, random_state
 from .states import (
     entropy_E,
@@ -135,8 +135,7 @@ def cmd_channel(args) -> int:
             f"--dout {args.dout}")
     c = ChoiMatrix(args.din, args.dout, m)
     try:
-        s, params, lat = _extract(c.s)  # NotPSDError -> exit 2
-        ks = _kraus_from_params(c, s, params, lat)
+        ks = kraus_from_choi(c)  # NotPSDError -> exit 2
     except ValueError as exc:
         if isinstance(exc, NotPSDError):
             raise
@@ -146,7 +145,7 @@ def cmd_channel(args) -> int:
             write_text(f"{args.kraus}_{idx}.json",
                        dumps_canonical(matrix_to_obj(gen)))
     if args.capacity:
-        out = {"capacity": encode_scalar(_capacity_from_params(params))}
+        out = {"capacity": encode_scalar(capacity_D(c))}
         sys.stdout.write(dumps_canonical(out))
     return 0
 

@@ -1,5 +1,5 @@
-"""pytest setup: Hypothesis keeps its caches out of the source tree, and a
-fixture counts syntheses.
+"""pytest setup: Hypothesis keeps its caches out of the source tree, and
+fixtures count syntheses and channel extractions.
 
 The property tests run without an example database, but Hypothesis still
 caches the constants it reads from local modules; they go to the system
@@ -30,4 +30,22 @@ def synthesis_runs(monkeypatch) -> list:
         return synthesize(*args, **kwargs)
 
     monkeypatch.setattr(params, "_synthesize", counted_synthesize)
+    return runs
+
+
+@pytest.fixture
+def extraction_runs(monkeypatch) -> list:
+    """A list that grows by one each time ``channels._extract`` runs: each
+    extraction of a ``ChoiMatrix``, which ``ChoiMatrix._extraction`` looks
+    the name up for when it is first read."""
+    import schurq.channels as channels
+
+    runs = []
+    extract = channels._extract
+
+    def counted_extract(*args, **kwargs):
+        runs.append(None)
+        return extract(*args, **kwargs)
+
+    monkeypatch.setattr(channels, "_extract", counted_extract)
     return runs

@@ -1,5 +1,7 @@
 """Channel layer: Choi/map plumbing, Kraus extraction, capacity, qubit NF."""
 
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -395,6 +397,97 @@ def test_choi_tensor_acts_as_product_channel():
         lhs = apply(mt, np.kron(a, b))
         rhs = np.kron(apply(m1, a), apply(m2, b))
         assert maxnorm(lhs - rhs) <= 1e-10 * (1 + maxnorm(rhs))
+
+
+# ---------------------------------------------------------------------------
+# A ChoiMatrix as a value
+
+QUESTIONS = (is_completely_positive, kraus_from_choi, capacity_D)
+
+
+def _answer(question, c):
+    """The bytes of one answer about ``c``."""
+    out = question(c)
+    if question is kraus_from_choi:
+        return tuple(g.tobytes() for g in out.generators)
+    return repr(out)
+
+
+def _hermitian_pair(rng):
+    """A full-rank and a rank-2 (dead tail past band 2) Choi matrix, 3 -> 3."""
+    full, low = _rand_complex(rng, (9, 9)), _rand_complex(rng, (2, 9))
+    return full.conj().T @ full, low.conj().T @ low
+
+
+def test_choi_questions_read_one_kept_extraction(extraction_runs):
+    """The three questions on one ChoiMatrix, in either order and twice
+    each, run one extraction and give a fresh object's bytes."""
+    for s in _hermitian_pair(np.random.default_rng(1601)):
+        want = {q: _answer(q, ChoiMatrix(3, 3, s)) for q in QUESTIONS}
+        for order in (QUESTIONS, QUESTIONS[::-1]):
+            c = ChoiMatrix(3, 3, s)
+            before = len(extraction_runs)
+            assert [_answer(q, c) for q in order + order] == [want[q] for q in order + order]
+            assert len(extraction_runs) == before + 1
+
+
+def test_kraus_twice_reads_the_factor_once():
+    """The factor is read off the lattice once, so a second call gives the
+    same generators, as new arrays: writing into them changes no later call."""
+    for s in _hermitian_pair(np.random.default_rng(1602)):
+        c = ChoiMatrix(3, 3, s)
+        first = kraus_from_choi(c).generators
+        want = tuple(g.tobytes() for g in first)
+        for g in first:
+            g[...] = 7.0
+        second = kraus_from_choi(c).generators
+        assert tuple(g.tobytes() for g in second) == want
+        assert not any(np.shares_memory(g, h) for g in first for h in second)
+
+
+def test_not_cp_choi_raises_the_same_error_every_call(extraction_runs):
+    """A rejection is not kept: every question extracts again and raises
+    the error a fresh object raises."""
+    rng = np.random.default_rng(1603)
+    x = _rand_complex(rng, (9, 9))
+    s = x.conj().T @ x
+    s -= (np.linalg.eigvalsh(s)[0] + 0.5) * np.eye(9)
+
+    def error(question, c):
+        with pytest.raises(NotPSDError) as info:
+            question(c)
+        e = info.value
+        return e.reason, e.entry, e.band, e.value, str(e)
+
+    want = error(kraus_from_choi, ChoiMatrix(3, 3, s))
+    c = ChoiMatrix(3, 3, s)
+    before = len(extraction_runs)
+    assert [error(q, c) for q in (kraus_from_choi, capacity_D) * 2] == [want] * 4
+    assert not is_completely_positive(c) and not is_completely_positive(c)
+    assert len(extraction_runs) == before + 6
+
+
+def test_choi_matrix_owns_a_read_only_copy():
+    """``s`` is a read-only complex128 copy: a later write to the caller's
+    array reaches neither ``c.s`` nor any answer, and no field can be
+    reassigned.  A shallow copy answers as the original does."""
+    s, _ = _hermitian_pair(np.random.default_rng(1604))
+    source = s.copy()
+    want = {q: _answer(q, ChoiMatrix(3, 3, source)) for q in QUESTIONS}
+    c = ChoiMatrix(3, 3, s)
+    s[0, 0] += 1.0
+    s[1, 2] = s[2, 1] = 5.0
+    assert c.s.tobytes() == source.tobytes()
+    assert _answer(capacity_D, c) == want[capacity_D]
+    shallow = copy.copy(c)  # after the extraction, before the factor is read
+    for value in (c, shallow):
+        assert {q: _answer(q, value) for q in QUESTIONS} == want
+    with pytest.raises(ValueError, match="read-only"):
+        c.s[0, 0] = 0.0
+    for name in ("d_in", "d_out", "s", "_extraction", "_factor"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, name, getattr(c, name))
+    assert ChoiMatrix(1, 1, np.array([[2]])).s.dtype == np.complex128
 
 
 # ---------------------------------------------------------------------------

@@ -356,32 +356,30 @@ def test_channel_identity_single_kraus_file(tmp_path, capsys):
     assert len(sorted(tmp_path.glob("k_*.json"))) == 1
 
 
-def test_channel_extracts_once(tmp_path, capsys, monkeypatch):
+def test_channel_extracts_once(tmp_path, capsys, monkeypatch, extraction_runs):
     """Kraus files and capacity come from one extraction of the Choi matrix,
     and the factor is read off its lattice: no second pass over the bands."""
-    import schurq.channels as channels
     import schurq.cli as cli
     import schurq.params as params
 
-    calls = {"extract": 0, "cholesky_factor": 0}
+    calls = {"cholesky_factor": 0}
 
     def counted(module, name):
         wrapped = getattr(module, name)
 
         def call(*args, **kwargs):
-            calls[name.lstrip("_")] += 1
+            calls[name] += 1
             return wrapped(*args, **kwargs)
 
         monkeypatch.setattr(module, name, call)
 
-    counted(channels, "_extract")
-    counted(cli, "_extract")
     counted(params, "cholesky_factor")
     counted(cli, "cholesky_factor")
     assert main(["channel", "--choi", str(GOLDEN / "depol_choi.json"),
                  "--din", "2", "--dout", "2",
                  "--kraus", str(tmp_path / "k"), "--capacity"]) == 0
-    assert calls == {"extract": 1, "cholesky_factor": 0}
+    assert len(extraction_runs) == 1
+    assert calls == {"cholesky_factor": 0}
     assert capsys.readouterr().out == (GOLDEN / "depol_capacity.json").read_text()
     ks = kraus_from_choi(ChoiMatrix(2, 2, _read_matrix(GOLDEN / "depol_choi.json")))
     files = sorted(tmp_path.glob("k_*.json"))
