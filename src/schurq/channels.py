@@ -139,9 +139,12 @@ class ChoiMatrix:
 
     @functools.cached_property
     def _extraction(self) -> tuple[np.ndarray, SchurParams, _Lattice | None]:
-        """Hermitian average of ``s``, its parameters, and the lattice
-        :func:`_read_factor` reads (None once :attr:`_factor` has read it)."""
-        return _extract(self.s)
+        """Hermitian average of ``s`` (``s`` itself when it is exactly
+        Hermitian, so the object holds it once), its parameters, and the
+        lattice :func:`_read_factor` reads (None once :attr:`_factor` has
+        read it)."""
+        s, params, lat = _extract(self.s)
+        return (self.s if np.array_equal(s, self.s) else s), params, lat
 
     @functools.cached_property
     def _factor(self) -> np.ndarray:
@@ -448,7 +451,7 @@ def qubit_nf_params(nf: QubitChannelNF) -> tuple[SchurParams, QubitNFReport]:
         """One recursion step: extract, clamp, or mask gamma_(k+1)(j+1) from
         the residual covariance ``cov`` (the entry minus its known part)."""
         label = (k + 1, j + 1)
-        val, _, _, masked, failure = _entry_step(cov, lvec[k] * lvec[j], dprod, scale)
+        val, _, _, masked, failure = _entry_step(cov, lvec[k] * lvec[j] * dprod, scale)
         val = None if masked else complex(val)
         gamma[label] = val
         if failure is not None:

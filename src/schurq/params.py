@@ -8,18 +8,19 @@ x_k and x_j given x_{k+1..j-1} (a D-vine); ``S = D_L (G* G) D_L`` with
 
 One band lattice (Levinson/Schur recursion) treats every window [k, k+b] of a
 band at once.  It carries the residual rows ``f[k]`` of x_k and ``g[k+b]`` of
-x_{k+b} given x_{k+1..k+b-1}, and products ``dl[k]``, ``dr[k+b]`` of the defects
-``sqrt(1 - |gamma|^2)`` along the window's row and column.  Each conditioning
-step scales a residual variance by ``1 - |gamma|^2``, so the residuals'
-covariance ``a`` is gamma times ``L_k L_j dl[k] dr[j]``, the divisor of the
-entry expansion.  ``f -= (a / var_g) g``, ``g -= (conj(a) / var_f) f`` moves
-every window one step out.  Synthesis carries coefficient rows and sets ``S_kj
-= gamma * divisor - f[k] . S[:, j]`` while ``S_kj`` is 0; it knows every
+x_{k+b} given x_{k+1..k+b-1}, and their standard deviations ``sl[k]``,
+``sr[k+b]``: ``L_k`` and ``L_{k+b}`` times the defects ``sqrt(1 - |gamma|^2)``
+along the window's row and column.  Each conditioning step scales a residual
+variance by ``1 - |gamma|^2``, so the residuals' covariance ``a`` is gamma
+times ``sl[k] sr[j]``, the divisor of the entry expansion.
+``f -= (a / var_g) g``, ``g -= (conj(a) / var_f) f`` moves every window one
+step out.  Synthesis carries coefficient rows and sets
+``S_kj = gamma * divisor - f[k] . S[:, j]`` while ``S_kj`` is 0; it knows every
 parameter up front, so it reads every window's defect products, divisor and
 update coefficients off them at once, and its band loop only writes entries
 and updates rows.  Extraction learns a band's parameters only when it reaches
 it: :class:`_Lattice` carries the rows times ``S`` (the Schur form, accurate
-on ill-conditioned input) and the defect products, and reads ``a`` off an
+on ill-conditioned input) and the standard deviations, and reads ``a`` off an
 entry.  Finally ``g[j]`` is x_j's residual given x_0..x_{j-1}, which yields
 ``G``.  O(d^3) time and O(d^2) memory in all.  A :class:`SchurParams` is
 immutable and keeps its synthesis, so :func:`forward` and
@@ -35,8 +36,8 @@ extraction (and every entry of the qubit normal form's closed forms).  A
 masked window does not move the lattice (its parameter is 0, its defect 1),
 and a band of zero parameters skips the update.  Past band r of a generic
 rank-r input every window is masked (a dead band), so extraction and synthesis
-update their rows for bands 1..r only.  A dead band moves no defect
-product, so from it on every divisor is known: when all are degenerate (a
+update their rows for bands 1..r only.  A dead band moves no standard
+deviation, so from it on every divisor is known: when all are degenerate (a
 dead tail), extraction checks the whole tail in one step.
 
 The removal writes only what a later read needs.  After band b, ``f[i]`` is
@@ -182,24 +183,23 @@ def _disc_allowance(scale: float, divisor):
                           np.minimum(0.1, DEFAULT_TOL.rel_eps * (1.0 + scale) / divisor))
 
 
-def _entry_step(cov, ll, dprod, scale: float):
-    """Extract gamma from residual covariances ``cov = ll * dprod * gamma``,
+def _entry_step(cov, divisor, scale: float):
+    """Extract gamma from residual covariances ``cov = divisor * gamma``,
     elementwise: ``(val, gam, dg, masked, failure)``.  ``val`` is the ratio
     before clamping (0 where ``masked`` flags a degenerate divisor), ``gam``
     is it clamped onto the circle, ``dg`` the defects of ``gam``, and
     ``failure`` None or ``(i, reason, value)`` for the first flat index
     proving a NotPSDError: a masked entry whose residual exceeds the entry
     slack plus its divisor, or a ratio past the disc allowance."""
-    divisor = ll * dprod
     masked = _degenerate(divisor, scale)
     inconsistent = None
     if np.count_nonzero(masked):
         with np.errstate(divide="ignore", invalid="ignore"):
-            val = np.where(masked, 0.0, cov / ll / dprod)
+            val = np.where(masked, 0.0, cov / divisor)
         resid = np.abs(cov)
         inconsistent = masked & (resid > DEFAULT_TOL.entry(scale) + divisor)
     else:
-        val = cov / ll / dprod
+        val = cov / divisor
     mod = np.abs(val)
     clamp = mod > 1.0
     if not np.count_nonzero(clamp) and (inconsistent is None
@@ -223,42 +223,40 @@ class _Lattice:
     """Before band b, ``f[k]``, ``g[k+b]`` are window [k, k+b]'s residual rows.
 
     Extraction's lattice.  It takes over ``rows``, ``S``: covariances with
-    every x_l (so ``f[k, k+b]`` is the window's covariance).  Every update
-    is logged until :meth:`widen` replays the log on the identity and
-    appends its coefficient rows: ``[S | I]``, every x_l followed by
-    coefficients.  One linear update serves both.  ``tail`` is the first
-    band of a dead tail whose removals from ``g`` are pending
-    (:func:`_dead_tail`), or None.
+    every x_l (so ``f[k, k+b]`` is the window's covariance), and the
+    standard deviations ``sl[k]``, ``sr[k+b]`` of those rows' residuals, so
+    ``sl[k] sr[k+b]`` is the window's divisor.  Every update is logged
+    until :meth:`widen` replays the log on the identity and appends its
+    coefficient rows: ``[S | I]``, every x_l followed by coefficients.  One
+    linear update serves both.  ``tail`` is the first band of a dead tail
+    whose removals from ``g`` are pending (:func:`_dead_tail`), or None.
     """
 
     def __init__(self, lvec: np.ndarray, rows: np.ndarray):
         self.lvec, self.f, self.g = lvec, rows, rows.copy()
-        self.dl, self.dr = np.ones(lvec.shape[0]), np.ones(lvec.shape[0])
+        self.sl, self.sr = lvec.copy(), lvec.copy()
         self.log, self.tail = [], None
-
-    def window(self, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(L_k L_{k+b}, dl[k] dr[k+b])`` of every window of band b; their
-        product is the window's divisor."""
-        return self.lvec[:-b] * self.lvec[b:], self.dl[:-b] * self.dr[b:]
 
     def absorb(self, b: int, gam: np.ndarray, dg: np.ndarray, live: np.ndarray) -> None:
         """Move every window of band b one step out, past its parameter ``gam``
-        of defect ``dg``.  The rows of a window that is not ``live`` (a
-        zero-variance residual) stay.  A band of zero parameters moves no
-        value (``dl * 1 == dl``) and is skipped."""
+        of defect ``dg``, and scale ``sl``, ``sr`` by ``dg``.  The rows of a
+        window that is not ``live`` (a zero-variance residual, whose
+        parameter is 0) stay.  A band of zero parameters moves no value
+        (``sl * 1 == sl``) and is skipped."""
         if not np.count_nonzero(gam):
             return
         n = gam.shape[0]
-        sl, sr = self.lvec[:n] * self.dl[:n], self.lvec[b:] * self.dr[b:]  # sd(f), sd(g)
+        sl, sr = self.sl[:n], self.sr[b:]
         if np.count_nonzero(live) < n:
-            gam, sl, sr = np.where(live, gam, 0.0), np.where(live, sl, 1.0), \
-                np.where(live, sr, 1.0)
-        cf, cg = gam * (sl / sr), np.conj(gam) * (sr / sl)
+            r = np.divide(sl, sr, out=np.ones(n), where=live)
+        else:
+            r = sl / sr
+        cf, cg = gam * r, np.conj(gam) / r
         if self.log is not None:
             self.log.append((b, cf, cg))
         _update(self.f[:n], self.g[b:], cf, cg)
-        self.dl[:n] *= dg
-        self.dr[b:] *= dg
+        sl *= dg
+        sr *= dg
 
     def widen(self) -> None:
         """Append the coefficient rows, once: the logged updates replayed, in
@@ -312,10 +310,10 @@ def _synthesize(params: SchurParams) -> tuple[np.ndarray, np.ndarray, np.ndarray
     in band order (a masked, zero or skipped parameter has defect 1.0).
     Running products along each row, and up each column from the bottom,
     multiply in that order.  So they give every window's products, divisor
-    and update coefficients at once, bit for bit as a band step computes
-    them.  Those arrays are indexed [k, j-1] for window [k, j]: band b is
-    their diagonal b-1.  The band loop only writes the entries and updates
-    the rows."""
+    and update coefficients at once, bit for bit as a band step over these
+    products computes them.  Those arrays are indexed [k, j-1] for window
+    [k, j]: band b is their diagonal b-1.  The band loop only writes the
+    entries and updates the rows."""
     d, lvec, gamma = params.dim, params.diag, params.gamma
     n = d - 1
     dgs = defect(gamma)
@@ -394,9 +392,9 @@ def _extract(s: np.ndarray) -> tuple[np.ndarray, SchurParams, _Lattice]:
     lat = _Lattice(lvec, s.copy())
     gamma_flat = gamma.reshape(-1)
     for b in range(1, d):
-        ll, dprod = lat.window(b)
         cov = _band_diagonal(lat.f, b)
-        _, gam, dg, masked, failure = _entry_step(cov, ll, dprod, scale)
+        divisor = lat.sl[:d - b] * lat.sr[b:]
+        _, gam, dg, masked, failure = _entry_step(cov, divisor, scale)
         if failure is not None:
             k, reason, value = failure
             raise NotPSDError(reason, entry=(k, k + b), band=b, value=value)
@@ -426,7 +424,7 @@ def _dead_tail(lat: _Lattice, b: int, scale: float, defined: np.ndarray) -> bool
     """Band b is dead: if every later band is dead too, extract them at once
     and leave the removals of bands b.. from ``g`` pending.
 
-    A dead band moves no ``dl``, ``dr``, so the divisors of the windows
+    A dead band moves no ``sl``, ``sr``, so the divisors of the windows
     past b stay what they are now, and one test says whether each is
     masked.  If one is live, return False.  Otherwise every parameter from
     band b on is a masked 0, and the band loop would only remove each
@@ -440,15 +438,15 @@ def _dead_tail(lat: _Lattice, b: int, scale: float, defined: np.ndarray) -> bool
     d = lat.lvec.shape[0]
     if b < d - 1:
         k, j = _tail_windows(d, b)
-        ll, dprod = lat.lvec[k] * lat.lvec[j], lat.dl[k] * lat.dr[j]
-        if np.count_nonzero(_degenerate(ll * dprod, scale)) < k.shape[0]:
+        divisor = lat.sl[k] * lat.sr[j]
+        if np.count_nonzero(_degenerate(divisor, scale)) < k.shape[0]:
             return False
         lat.widen()
         f = lat.f
         for i in range(d - b - 1, 0, -1):  # f[i:i+1], not f[i]: numpy rounds
             # a (1, 1) by (1,) product apart from the band loop's (n, n) by (n,)
             f[:i, i + b:d] -= f[:i, d + i, None] * f[i:i + 1, i + b:d]
-        failure = _entry_step(f[k, j], ll, dprod, scale)[4]
+        failure = _entry_step(f[k, j], divisor, scale)[4]
         if failure is not None:
             i, reason, value = failure
             raise NotPSDError(reason, entry=(int(k[i]), int(j[i])),
@@ -463,7 +461,9 @@ def _read_factor(params: SchurParams, lat: _Lattice) -> np.ndarray:
     """:func:`cholesky_factor` of ``params`` read off the lattice that
     :func:`_extract` returned with them: makes a dead tail's pending
     removals from ``g`` in band order and absorbs the last band, then
-    divides ``(B S)`` as :func:`cholesky_factor` divides its synthesized one."""
+    divides ``(B S)`` as :func:`cholesky_factor` divides its synthesized one.
+    Its column defect products are ``sr / L``; where ``L_j`` is 0 every
+    window through column j is masked, so column j's product is 1.0."""
     d, b = params.dim, lat.tail
     if b is not None:  # the tail's covariances are f[i, i+b:] (:func:`_dead_tail`)
         lat.widen()
@@ -474,7 +474,9 @@ def _read_factor(params: SchurParams, lat: _Lattice) -> np.ndarray:
     if d > 1:
         gam = params.gamma[0, d - 1:]
         lat.absorb(d - 1, gam, defect(gam), params.defined[0, d - 1:])
-    return _factor(lat.g[:, :d], params.diag, lat.dr)
+    lvec = params.diag
+    dr = np.divide(lat.sr, lvec, out=np.ones(d), where=lvec > 0.0)
+    return _factor(lat.g[:, :d], lvec, dr)
 
 
 def _logdet(params: SchurParams) -> float:

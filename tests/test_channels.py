@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from schurq import channels
 from schurq.channels import (
     ChoiMatrix,
     KrausSet,
@@ -488,6 +489,24 @@ def test_choi_matrix_owns_a_read_only_copy():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(c, name, getattr(c, name))
     assert ChoiMatrix(1, 1, np.array([[2]])).s.dtype == np.complex128
+
+
+def test_exactly_hermitian_choi_keeps_s_once():
+    """An exactly Hermitian ``s`` is its own Hermitian average, so the kept
+    extraction holds ``c.s`` itself; one Hermitian only within the slack
+    keeps its average apart.  Either answers as an object that keeps the
+    average as an array of its own."""
+    rng = np.random.default_rng(1901)
+    near, _ = _hermitian_pair(rng)  # a product's diagonal has rounding imaginary parts
+    exact = 0.5 * (near + near.conj().T)
+    for s, shared in ((exact, True), (near, False)):
+        c = ChoiMatrix(3, 3, s)
+        want = ChoiMatrix(3, 3, s)
+        want.__dict__["_extraction"] = channels._extract(want.s)
+        assert {q: _answer(q, c) for q in QUESTIONS} == \
+            {q: _answer(q, want) for q in QUESTIONS}
+        assert np.shares_memory(c._extraction[0], c.s) == shared
+        assert not np.shares_memory(want._extraction[0], want.s)
 
 
 # ---------------------------------------------------------------------------

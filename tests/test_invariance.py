@@ -96,3 +96,14 @@ def test_positive_definite_near_rank_one_is_accepted():
     assert np.linalg.eigvalsh(s)[0] > 1e-12
     np.linalg.cholesky(s)
     inverse(s)  # raises 'parameter outside the unit disc' at (1, 7), band 6
+
+
+@pytest.mark.xfail(strict=True, raises=NotPSDError,
+                   reason="ROADMAP item 1: the Hilbert matrices of d 12..14 are PSD "
+                   "but fail the disc allowance")
+def test_hilbert_12_to_14_are_accepted():
+    """Each raises 'parameter outside the unit disc' at (3, 11), band 8,
+    value 6.76742 (6.76751 while the lattice carried defect products)."""
+    for d in (12, 13, 14):
+        i = np.arange(d)
+        inverse(1.0 / (i[:, None] + i[None, :] + 1))

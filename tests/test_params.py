@@ -286,7 +286,7 @@ def test_boundary_masking_kills_dependent_entries():
 def test_rank_deficient_bands_are_dead(d, monkeypatch):
     """Generic rank r: every window wider than r + 1 has a zero-variance
     residual, so every parameter past band r is masked.  Such a dead band
-    leaves extraction's lattice (f, g, dl, dr) as it was, and synthesis
+    leaves extraction's lattice (f, g, sl, sr) as it was, and synthesis
     updates its rows for bands 1..r only."""
     import schurq.params as params
 
@@ -294,9 +294,9 @@ def test_rank_deficient_bands_are_dead(d, monkeypatch):
     absorb, update = params._Lattice.absorb, params._update
 
     def watched_absorb(lat, b, *args):
-        before = [a.copy() for a in (lat.f, lat.g, lat.dl, lat.dr)]
+        before = [a.copy() for a in (lat.f, lat.g, lat.sl, lat.sr)]
         absorb(lat, b, *args)
-        after = (lat.f, lat.g, lat.dl, lat.dr)
+        after = (lat.f, lat.g, lat.sl, lat.sr)
         if not all(np.array_equal(x, y) for x, y in zip(before, after)):
             moved.append(b)
 
@@ -405,7 +405,8 @@ def test_lattice_factor_matches_synthesized_factor_near_rank_deficiency():
     synthesized cholesky_factor of the same parameters.  Near rank r most
     windows past band r are masked, so this checks that the masked
     covariances left the lattice's g rows (the strict upper triangle that
-    _read_factor reads) as they leave S."""
+    _read_factor reads) as they leave S.  A zero row and column (row 0 or a
+    middle one) gives a zero L_j, whose column's defect product is 1.0."""
     rng = np.random.default_rng(90)
     worst = 0.0
     for d in (4, 6, 9):
@@ -414,8 +415,12 @@ def test_lattice_factor_matches_synthesized_factor_near_rank_deficiency():
                 x = rng.normal(size=(r, d)) + 1j * rng.normal(size=(r, d))
                 y = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
                 s = x.conj().T @ x + 1e-13 * (y.conj().T @ y)
-                _, p, lat = _extract(s)  # raises NotPSDError if rejected
-                worst = max(worst, maxnorm(_read_factor(p, lat) - cholesky_factor(p)))
+                for zero in (None, 0, d // 2):
+                    t = s.copy()
+                    if zero is not None:
+                        t[zero, :] = t[:, zero] = 0.0
+                    _, p, lat = _extract(t)  # raises NotPSDError if rejected
+                    worst = max(worst, maxnorm(_read_factor(p, lat) - cholesky_factor(p)))
     assert worst <= 1e-6
 
 
@@ -583,26 +588,33 @@ def test_synthesis_is_kept_and_fields_are_read_only(synthesis_runs):
 
 def _reference_synthesis(p: SchurParams):
     """``_synthesize`` as one lattice step per band, each band's divisors and
-    coefficients taken from the lattice's running defect products.  Returns
-    ``(s, g, dr)`` and the number of nonzero parameters behind a zero
-    divisor."""
+    coefficients taken from running defect products ``dl``, ``dr`` of the
+    window's row and column.  Returns ``(s, g, dr)`` and the number of
+    nonzero parameters behind a zero divisor."""
     import schurq.params as params
 
     d, lvec = p.dim, p.diag
     s = np.diag((lvec * lvec).astype(np.complex128))
-    lat = params._Lattice(lvec, np.eye(d, dtype=np.complex128))
+    f, g = np.eye(d, dtype=np.complex128), np.eye(d, dtype=np.complex128)
+    dl, dr = np.ones(d), np.ones(d)
     dgs = params.defect(p.gamma)
     hidden = 0
     for b in range(1, d):
-        ll, dprod = lat.window(b)
-        divisor = ll * dprod
-        gam = p.gamma.diagonal(b)
-        hidden += np.count_nonzero(gam[~(divisor > 0.0)])
+        n = d - b
+        divisor = lvec[:n] * lvec[b:] * (dl[:n] * dr[b:])
+        gam, live = p.gamma.diagonal(b), divisor > 0.0
+        hidden += np.count_nonzero(gam[~live])
         # f[k] . S[:, k+b] while S[k, k+b] is still 0: the projected part.
-        known = np.einsum("ki,ik->k", lat.f[:d - b], s[:, b:])
+        known = np.einsum("ki,ik->k", f[:n], s[:, b:])
         params._band_diagonal(s, b)[:] = gam * divisor - known
-        lat.absorb(b, gam, dgs.diagonal(b), divisor > 0.0)
-    return (s, lat.g, lat.dr), hidden
+        if np.count_nonzero(gam):
+            gam = np.where(live, gam, 0.0)  # rows of a zero-variance window stay
+            sl = np.where(live, lvec[:n] * dl[:n], 1.0)
+            sr = np.where(live, lvec[b:] * dr[b:], 1.0)
+            params._update(f[:n], g[b:], gam * (sl / sr), np.conj(gam) * (sr / sl))
+            dl[:n] *= dgs.diagonal(b)
+            dr[b:] *= dgs.diagonal(b)
+    return (s, g, dr), hidden
 
 
 def _edge_params(rng, d):
