@@ -37,15 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DEFAULT_TOL, ConsistencyError, NotPSDError, maxnorm
-from .params import (
-    SchurParams,
-    _Lattice,
-    _entry_step,
-    _extract,
-    _logdet,
-    _read_factor,
-    defect,
-)
+from .params import SchurParams, _entry_step, _extract, _logdet, _read_factor, defect
 
 __all__ = [
     "LinearMap",
@@ -113,8 +105,8 @@ class ChoiMatrix:
     complex128 array of its own, so a later write to the caller's array
     does not reach it.  It keeps one extraction of ``s``, which
     :func:`is_completely_positive`, :func:`kraus_from_choi` and
-    :func:`capacity_D` all read, and the scaled Cholesky factor read off
-    its lattice when Kraus generators are first asked for.  A rejection
+    :func:`capacity_D` all read: its parameters and the scaled Cholesky
+    factor read off its lattice, which is not kept.  A rejection
     (:class:`NotPSDError`) is not kept: every question raises it anew.
     Compares by identity.
     """
@@ -133,28 +125,18 @@ class ChoiMatrix:
         object.__setattr__(self, "s", s)
 
     def __copy__(self) -> ChoiMatrix:
-        # An immutable value is its own copy; a shallow copy of the kept
-        # extraction would share the lattice that _factor moves on.
-        return self
+        return self  # an immutable value is its own copy
 
     @functools.cached_property
-    def _extraction(self) -> tuple[np.ndarray, SchurParams, _Lattice | None]:
+    def _extraction(self) -> tuple[np.ndarray, SchurParams, np.ndarray]:
         """Hermitian average of ``s`` (``s`` itself when it is exactly
         Hermitian, so the object holds it once), its parameters, and the
-        lattice :func:`_read_factor` reads (None once :attr:`_factor` has
-        read it)."""
+        read-only factor U = G diag(L) with S = U* U, read off the
+        extraction's lattice, which is not kept."""
         s, params, lat = _extract(self.s)
-        return (self.s if np.array_equal(s, self.s) else s), params, lat
-
-    @functools.cached_property
-    def _factor(self) -> np.ndarray:
-        """U = G diag(L) with S = U* U, read-only; read once, since
-        :func:`_read_factor` moves the lattice on."""
-        s, params, lat = self._extraction
         u = _read_factor(params, lat) * params.diag[None, :]
         u.setflags(write=False)
-        self.__dict__["_extraction"] = s, params, None  # no later reader
-        return u
+        return (self.s if np.array_equal(s, self.s) else s), params, u
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,10 +295,9 @@ def kraus_from_choi(c: ChoiMatrix) -> KrausSet:
     exact reindexing of S, this also fixes the action on every matrix unit,
     so a KrausSet is trustworthy by construction.  Propagates NotPSDError
     when the Choi matrix is not PSD.  The generators are new arrays on
-    every call; the factor is read once per ChoiMatrix.
+    every call; the factor is read once per ChoiMatrix, with its extraction.
     """
-    s = c._extraction[0]
-    u = c._factor
+    s, _, u = c._extraction
     scale = maxnorm(s)
     check_tol = DEFAULT_TOL.abs_eps * max(1.0, scale)
     # Row u_n adds u_n* u_n, of max-norm max|u_n|^2, to A* A, so the rows

@@ -67,9 +67,12 @@ class SplitMix64:
 
 
 def random_psd(seed: int, d: int) -> np.ndarray:
-    """Random PSD matrix X*X with trace normalized to d."""
+    """Random PSD matrix X*X with trace normalized to d.
+
+    X*X is summed by ``einsum``, which does not call BLAS, so the bytes do
+    not depend on the BLAS kernel."""
     x = SplitMix64(seed).complex_matrix(d, d)
-    s = x.conj().T @ x
+    s = np.einsum("ki,kj->ij", x.conj(), x)
     return s * (d / float(np.trace(s).real))
 
 
@@ -83,11 +86,12 @@ def random_choi(seed: int, d_in: int, d_out: int, tp: bool = False) -> np.ndarra
 
     With ``tp`` the matrix is conjugated by C (x) I, C = B^(-1/2) for the
     partial trace B over the output factor, which makes the channel exactly
-    trace preserving while staying CP.
+    trace preserving while staying CP.  X*X is summed as in
+    :func:`random_psd`; the projection uses ``eigh`` and BLAS products.
     """
     n = d_in * d_out
     x = SplitMix64(seed).complex_matrix(n, n)
-    s = x.conj().T @ x
+    s = np.einsum("ki,kj->ij", x.conj(), x)
     s = s * (d_in / float(np.trace(s).real))
     if not tp:
         return s

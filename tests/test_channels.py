@@ -3,6 +3,8 @@
 import copy
 import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from schurq.channels import (
     qubit_nf_params,
 )
 from schurq.linalg import DEFAULT_TOL, NotPSDError, maxnorm, reference_determinant
-from schurq.params import defect, inverse
+from schurq.params import SchurParams, _Lattice, defect, inverse
 
 PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -480,12 +482,12 @@ def test_choi_matrix_owns_a_read_only_copy():
     s[1, 2] = s[2, 1] = 5.0
     assert c.s.tobytes() == source.tobytes()
     assert _answer(capacity_D, c) == want[capacity_D]
-    shallow = copy.copy(c)  # after the extraction, before the factor is read
+    shallow = copy.copy(c)  # after the extraction, before any Kraus question
     for value in (c, shallow):
         assert {q: _answer(q, value) for q in QUESTIONS} == want
     with pytest.raises(ValueError, match="read-only"):
         c.s[0, 0] = 0.0
-    for name in ("d_in", "d_out", "s", "_extraction", "_factor"):
+    for name in ("d_in", "d_out", "s", "_extraction"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(c, name, getattr(c, name))
     assert ChoiMatrix(1, 1, np.array([[2]])).s.dtype == np.complex128
@@ -496,17 +498,57 @@ def test_exactly_hermitian_choi_keeps_s_once():
     extraction holds ``c.s`` itself; one Hermitian only within the slack
     keeps its average apart.  Either answers as an object that keeps the
     average as an array of its own."""
-    rng = np.random.default_rng(1901)
-    near, _ = _hermitian_pair(rng)  # a product's diagonal has rounding imaginary parts
-    exact = 0.5 * (near + near.conj().T)
+    product, _ = _hermitian_pair(np.random.default_rng(1901))
+    exact = 0.5 * (product + product.conj().T)
+    # Not the product itself: whether its diagonal keeps rounding imaginary
+    # parts depends on the BLAS kernel.
+    near = exact + 1e-14j * np.eye(9)
     for s, shared in ((exact, True), (near, False)):
         c = ChoiMatrix(3, 3, s)
         want = ChoiMatrix(3, 3, s)
-        want.__dict__["_extraction"] = channels._extract(want.s)
+        average, p, lat = channels._extract(want.s)
+        u = channels._read_factor(p, lat) * p.diag[None, :]
+        want.__dict__["_extraction"] = average, p, u
         assert {q: _answer(q, c) for q in QUESTIONS} == \
             {q: _answer(q, want) for q in QUESTIONS}
         assert np.shares_memory(c._extraction[0], c.s) == shared
         assert not np.shares_memory(want._extraction[0], want.s)
+
+
+def test_kept_extraction_holds_no_lattice():
+    """Whatever is asked first, the kept extraction holds the Hermitian
+    average, the parameters and the read-only factor U with S = U* U, and
+    no lattice; computing it again from scratch gives the same bytes, so
+    two threads that both compute it keep equal values."""
+    for s in _hermitian_pair(np.random.default_rng(2101)):
+        for first in QUESTIONS:
+            c = ChoiMatrix(3, 3, s)
+            first(c)
+            average, p, u = c._extraction
+            assert not any(isinstance(v, _Lattice) for v in c._extraction)
+            assert isinstance(p, SchurParams) and not u.flags.writeable
+            assert maxnorm(u.conj().T @ u - average) <= 1e-12 * maxnorm(average)
+            again = ChoiMatrix._extraction.func(c)
+            assert [a.tobytes() for a in (again[0], again[2])] == \
+                [a.tobytes() for a in (average, u)]
+
+
+def test_first_kraus_questions_from_many_threads_agree():
+    """Eight threads that ask one fresh ChoiMatrix for its generators at once
+    all get a fresh object's bytes.  From Python 3.12 on a cached_property
+    has no lock, so more than one thread may compute the extraction."""
+    s, _ = _hermitian_pair(np.random.default_rng(2102))
+    want = _answer(kraus_from_choi, ChoiMatrix(3, 3, s))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            c = ChoiMatrix(3, 3, s)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(_answer, kraus_from_choi, c) for _ in range(8)]
+                assert [f.result(timeout=60) for f in futures] == [want] * 8
+    finally:
+        sys.setswitchinterval(switch)
 
 
 # ---------------------------------------------------------------------------

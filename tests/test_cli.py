@@ -18,6 +18,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,10 +27,17 @@ import numpy as np
 import pytest
 
 import schurq
-from schurq.channels import ChoiMatrix, is_trace_preserving, kraus_from_choi, map_from_choi
+from schurq.channels import (
+    ChoiMatrix,
+    is_completely_positive,
+    is_trace_preserving,
+    kraus_from_choi,
+    map_from_choi,
+)
 from schurq.cli import main
 from schurq.fileio import (
     dumps_canonical,
+    encode_scalar,
     matrix_from_obj,
     matrix_to_obj,
     params_from_obj,
@@ -77,6 +85,16 @@ def test_matrix_file_bit_exact():
     m = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
     back = matrix_from_obj(json.loads(dumps_canonical(matrix_to_obj(m))))
     assert np.array_equal(back, m)
+
+
+def test_writers_refuse_what_has_no_canonical_form():
+    with pytest.raises(ValueError, match="NaN has no canonical encoding"):
+        encode_scalar(math.nan)
+    assert [encode_scalar(x) for x in (-math.inf, math.inf, 0.5)] == ["-inf", "+inf", 0.5]
+    with pytest.raises(ValueError, match="two-dimensional"):
+        matrix_to_obj(np.ones(3))
+    with pytest.raises(ValueError, match="entries must be finite"):
+        matrix_to_obj(np.array([[1.0, np.inf]]))
 
 
 def test_params_file_round_trip():
@@ -175,6 +193,67 @@ def test_parametrize_worked_3x3(tmp_path):
     assert abs(p.gamma[0, 1] - 0.6) <= 1e-15
     assert abs(p.gamma[1, 2] - 0.5) <= 1e-15
     assert abs(p.gamma[0, 2]) <= 1e-15
+
+
+def test_parametrize_without_out_writes_stdout(tmp_path, capsys):
+    _write_matrix(tmp_path / "m.json", np.diag([4.0, 1.0]))
+    assert main(["parametrize", "--in", str(tmp_path / "m.json"),
+                 "--out", str(tmp_path / "p.json")]) == 0
+    capsys.readouterr()
+    assert main(["parametrize", "--in", str(tmp_path / "m.json")]) == 0
+    out = capsys.readouterr()
+    assert out.out == (tmp_path / "p.json").read_text() and out.err == ""
+
+
+def test_out_into_missing_directory_exit1(tmp_path, capsys):
+    _write_matrix(tmp_path / "m.json", np.eye(2))
+    missing = tmp_path / "no" / "such" / "p.json"
+    assert main(["parametrize", "--in", str(tmp_path / "m.json"),
+                 "--out", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
+
+
+def test_malformed_matrix_files_exit1(tmp_path, capsys):
+    """A malformed matrix file is a file error: one line on stderr naming
+    the file and the problem, exit 1."""
+    for text, reason in (
+            ('{"rows": 1, "cols": 1, "data": [[1.0, 0.0]', "Expecting"),
+            ('[[1.0, 0.0]]', "expected a JSON object"),
+            ('{"rows": 1, "data": [[1.0, 0.0]]}', "malformed matrix file"),
+            ('{"rows": -1, "cols": 1, "data": []}', "dimensions must be nonnegative"),
+            ('{"rows": 1, "cols": 2, "data": [[1.0, 0.0]]}',
+             "data length 1 does not match rows\\*cols = 2"),
+            ('{"rows": 1, "cols": 1, "data": {}}', "data length \\?"),
+            ('{"rows": 1, "cols": 1, "data": [[1.0]]}', "entry 0 is not an \\[re, im\\] pair"),
+            ('{"rows": 1, "cols": 1, "data": [1.0]}', "entry 0 is not an \\[re, im\\] pair"),
+            ('{"rows": 1, "cols": 1, "data": [[1e999, 0.0]]}', "entry 0 is not finite"),
+            ('{"rows": 1, "cols": 1, "data": [[1.0, NaN]]}', "entry 0 is not finite"),
+            ('{"rows": 1, "cols": 1, "data": [[1%s, 0]]}' % ("0" * 400), "entry 0 is not finite")):
+        (tmp_path / "m.json").write_text(text)
+        assert main(["parametrize", "--in", str(tmp_path / "m.json")]) == 1, text
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1, text
+        assert str(tmp_path / "m.json") in out.err and re.search(reason, out.err), out.err
+
+
+def test_malformed_params_files_exit1(tmp_path, capsys):
+    entry = {"k": 1, "j": 2, "re": 0.0, "im": 0.0, "defined": True}
+    for obj, reason in (
+            ({"dim": 2, "diag": [1.0, 1.0]}, "malformed params file"),
+            ({"dim": 0, "diag": [], "gamma": []}, "dim must be positive"),
+            ({"dim": 2, "diag": [1.0], "gamma": [entry]}, "diag must have 2 entries"),
+            ({"dim": 2, "diag": [1.0, 1.0], "gamma": {}}, "gamma must list all 1 upper pairs"),
+            ({"dim": 2, "diag": [1.0, 1.0], "gamma": [{"k": 1, "j": 2}]},
+             "malformed gamma entry"),
+            ({"dim": 2, "diag": [1.0, 1.0], "gamma": [[1, 2]]}, "malformed gamma entry"),
+            ({"dim": 2, "diag": [1.0, 1.0], "gamma": [dict(entry, j=3)]},
+             r"gamma indices \(1, 3\) out of range")):
+        write_text(str(tmp_path / "p.json"), json.dumps(obj))
+        assert main(["reconstruct", "--in", str(tmp_path / "p.json")]) == 1, obj
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1, obj
+        assert str(tmp_path / "p.json") in out.err and re.search(reason, out.err), out.err
 
 
 def test_parametrize_indefinite_exit2(tmp_path, capsys):
@@ -316,11 +395,17 @@ def test_state_bell(tmp_path, capsys):
 
 
 def test_state_rejections(tmp_path, capsys):
-    _write_matrix(tmp_path / "m.json", np.eye(2))  # trace 2
-    assert main(["state", "--in", str(tmp_path / "m.json")]) == 2
-    _write_matrix(tmp_path / "ind.json", np.diag([1.5, -0.5]))
-    assert main(["state", "--in", str(tmp_path / "ind.json")]) == 2
-    capsys.readouterr()
+    """Trace 2 is not a state; a unit-trace indefinite matrix is not PSD.
+    Both exit 2 from ``state`` and ``separability``, with one line on
+    stderr and nothing on stdout."""
+    for command in (["state"], ["separability", "--dims", "2x2"]):
+        for m, reason in ((np.eye(4), "not a state: "),
+                          (np.diag([0.75, 0.5, -0.5, 0.25]), "not positive semidefinite: ")):
+            _write_matrix(tmp_path / "m.json", m)
+            assert main([*command, "--in", str(tmp_path / "m.json")]) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and out.err.startswith(reason), (command, out.err)
+            assert out.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +595,28 @@ def test_random_tp_flag_usage(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("kind", ["psd", "state"])
+def test_random_dim_one_exit1(tmp_path, capsys, kind):
+    out = tmp_path / "x.json"
+    assert main(["random", "--kind", kind, "--dim", "1", "--seed", "1",
+                 "--out", str(out)]) == 1
+    assert "--dim too small" in capsys.readouterr().err and not out.exists()
+
+
+def test_random_channel_without_tp_is_a_cp_choi_matrix(tmp_path):
+    """Without ``--tp`` the Choi matrix is X*X at trace d_in: Hermitian,
+    completely positive, and in general not trace preserving."""
+    f = tmp_path / "c.json"
+    assert main(["random", "--kind", "channel", "--dim", "2", "--seed", "6",
+                 "--out", str(f)]) == 0
+    s = _read_matrix(f)
+    assert maxnorm(s - s.conj().T) <= 1e-15
+    assert abs(np.trace(s) - 2.0) <= 1e-14
+    choi = ChoiMatrix(2, 2, s)
+    assert is_completely_positive(choi)
+    assert not is_trace_preserving(map_from_choi(choi))
+
+
 # ---------------------------------------------------------------------------
 # golden files
 
@@ -579,6 +686,56 @@ def test_golden_random_seed(tmp_path):
 
 # Subprocesses import the package from the sources, installed or not.
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+
+
+# OpenBLAS kernels to force in a child process, each with the CPU flag it
+# needs: a kernel the CPU cannot run would fault, not round differently.
+BLAS_KERNELS = {"Haswell": "avx2", "Sandybridge": "avx", "Prescott": "pni"}
+
+# Every golden pipeline of the module docstring, input and output names
+# relative to ``tests/golden``; the capacity pipeline writes to stdout.
+GOLDEN_PIPELINES = (
+    ["reconstruct", "--in", "cosine_params.json", "--out", "cosine_matrix.json"],
+    ["parametrize", "--in", "tensor_matrix.json", "--out", "tensor_params.json"],
+    ["parametrize", "--in", "nf_matrix.json", "--out", "nf_params.json"],
+    ["random", "--kind", "psd", "--dim", "3", "--seed", "42",
+     "--out", "random_psd_seed42.json"],
+    ["reconstruct", "--in", "tensor_params.json", "--out", "tensor_reconstructed.json",
+     "--cholesky", "tensor_cholesky.json"],
+    ["channel", "--choi", "depol_choi.json", "--din", "2", "--dout", "2", "--capacity"],
+)
+
+
+def _cpu_flags() -> set:
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return {flag for line in text.splitlines() if line.startswith("flags")
+            for flag in line.partition(":")[2].split()}
+
+
+@pytest.mark.parametrize("kernel", sorted(BLAS_KERNELS))
+def test_golden_pipelines_under_another_blas_kernel(tmp_path, kernel):
+    """The golden bytes are the library's, not one BLAS kernel's: a child
+    process with ``OPENBLAS_CORETYPE`` set in its own environment regenerates
+    every golden file byte for byte (ignored where numpy has no OpenBLAS)."""
+    if BLAS_KERNELS[kernel] not in _cpu_flags():
+        pytest.skip(f"this CPU cannot run the {kernel} kernel")
+    argvs = [[str(GOLDEN / a) if flag in ("--in", "--choi") else
+              str(tmp_path / a) if flag in ("--out", "--cholesky") else a
+              for flag, a in zip([None, *argv], argv)] for argv in GOLDEN_PIPELINES]
+    child = ("import json, sys\nfrom schurq.cli import main\n"
+             "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    r = subprocess.run([sys.executable, "-c", child, json.dumps(argvs)],
+                       capture_output=True, text=True,
+                       env=dict(SRC_ENV, OPENBLAS_CORETYPE=kernel))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (GOLDEN / "depol_capacity.json").read_text()
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert len(written) == 6
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_console_entry_subprocess(tmp_path):

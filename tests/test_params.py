@@ -228,6 +228,8 @@ def test_inverse_rejects():
         inverse(np.array([[0.0, 0.5], [0.5, 1.0]]))
     with pytest.raises(ValueError):
         inverse(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
+    with pytest.raises(ValueError, match="empty matrix"):
+        inverse(np.zeros((0, 0)))
     # corner entry outside its disc: rejected in the last band, at the corner
     rng = np.random.default_rng(61)
     for d in (32, 48):

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from schurq import states
-from schurq.linalg import ConsistencyError, NotPSDError, kron, maxnorm, reference_eigenvalues
+from schurq.linalg import (
+    DEFAULT_TOL,
+    ConsistencyError,
+    NotPSDError,
+    kron,
+    maxnorm,
+    reference_eigenvalues,
+)
 from schurq.params import SchurParams, forward
 from schurq.states import (
     SeparabilityVerdict,
@@ -203,6 +210,24 @@ def test_state_from_coeffs_rejects_outside_cylinder():
         state_from_coeffs(2, np.array([0.8]), gamma)
 
 
+def test_state_from_coeffs_rejects_bad_coefficients():
+    """Shape, finiteness and diagonal errors are ValueErrors, not NotPSDError."""
+    zero = np.zeros((3, 3))
+    diag = zero.copy()
+    diag[1, 1] = 0.1
+    nan = zero.copy()
+    nan[0, 1] = np.nan
+    for beta, gamma, reason in (
+            (np.zeros(3), zero, r"beta must have shape \(2,\)"),
+            (np.zeros(2), np.zeros((2, 2)), r"gamma must have shape \(3, 3\)"),
+            (np.array([0.0, np.inf]), zero, "non-finite coefficients"),
+            (np.zeros(2), nan, "non-finite coefficients"),
+            (np.zeros(2), diag, "no diagonal degrees of freedom")):
+        with pytest.raises(ValueError, match=reason) as info:
+            state_from_coeffs(3, beta, gamma)
+        assert not isinstance(info.value, NotPSDError)
+
+
 def test_state_from_matrix_rejects_bad_trace():
     with pytest.raises(ValueError):
         state_from_matrix(np.eye(2))
@@ -286,6 +311,29 @@ def test_is_pure_basic_cases():
     assert is_pure(state_from_matrix(np.diag([1.0, 0.0, 0.0])))
     assert not is_pure(state_from_matrix(np.eye(3) / 3))
     assert not is_pure(state_from_matrix(np.diag([0.75, 0.25])))
+
+
+def _near_rank_one_chain(g02):
+    """d = 4 state from parameters: L_k = 1/2, every consecutive parameter
+    1 - 1e-6, gamma[0, 2] = ``g02``, the rest 0."""
+    g = np.zeros((4, 4), dtype=complex)
+    g[[0, 1, 2], [1, 2, 3]] = 1.0 - 1e-6
+    g[0, 2] = g02
+    return state_from_matrix(forward(SchurParams(4, np.full(4, 0.5), g)))
+
+
+def test_is_pure_second_rule_non_consecutive_parameters_vanish():
+    """Both states have consecutive moduli within sqrt(abs_eps) = 1e-5 of 1,
+    so the first rule holds; a non-consecutive parameter of 0.5 breaks the
+    second, while one of 0 keeps it (pure within sqrt(abs_eps))."""
+    mu = math.sqrt(DEFAULT_TOL.abs_eps)
+    for g02, pure in ((0.5, False), (0.0, True)):
+        st = _near_rank_one_chain(g02)
+        g = st.params.gamma
+        assert st.params.defined[0, 2]
+        assert all(1.0 - mu < abs(g[k, k + 1]) < 1.0 for k in range(3))
+        assert abs(abs(g[0, 2]) - g02) <= mu
+        assert is_pure(st) is pure
 
 
 def test_bell_state_parameter_pattern():
