@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DEFAULT_TOL, ConsistencyError, NotPSDError, maxnorm
-from .params import SchurParams, _entry_step, _extract, _logdet, _read_factor, defect
+from .params import (SchurParams, _entry_step, _extract, _logdet, _read_factor,
+                     _zero_diagonal, defect)
 
 __all__ = [
     "LinearMap",
@@ -423,29 +424,34 @@ def qubit_nf_params(nf: QubitChannelNF) -> tuple[SchurParams, QubitNFReport]:
         if sdiag[k] < -DEFAULT_TOL.entry(scale):
             notes.append(f"S{k + 1}{k + 1} = {sdiag[k]:.6g} is negative")
     lvec = np.sqrt(np.clip(sdiag, 0.0, None))
+    zero = _zero_diagonal(lvec, lvec.max())
 
     gmat = np.zeros((4, 4), dtype=np.complex128)
     defined = np.zeros((4, 4), dtype=bool)
     gamma: dict[tuple[int, int], complex | None] = {}
 
     def place(k: int, j: int, cov: complex, dprod: float):
-        """One recursion step: extract, clamp, or mask gamma_(k+1)(j+1) from
-        the residual covariance ``cov`` (the entry minus its known part)."""
-        label = (k + 1, j + 1)
-        val, _, _, masked, failure = _entry_step(cov, lvec[k] * lvec[j] * dprod, scale)
-        val = None if masked else complex(val)
-        gamma[label] = val
+        """One recursion step: extract, clamp, or mask gamma_(k+1)(j+1) from the
+        residual covariance ``cov`` (the entry minus its known part) over
+        ``L_k L_j``; through a zero diagonal, mask it and judge ``cov`` as is."""
+        label, ll = (k + 1, j + 1), lvec[k] * lvec[j]
+        if zero[k] or zero[j]:
+            gamma[label] = None
+            if abs(cov) > DEFAULT_TOL.entry(scale) + ll:
+                notes.append(f"degenerate entry S{label[0]}{label[1]} inconsistent "
+                             f"(residual {abs(cov):.6g})")
+            return
+        val, gam, _, masked, failure = _entry_step(cov / ll, dprod)
+        gamma[label] = None if masked else complex(val)
         if failure is not None:
             notes.append(
                 f"|Gamma{label[0]}{label[1]}| = {failure[2]:.6g} exceeds 1"
-                if val is not None else
+                if not masked else
                 f"degenerate entry S{label[0]}{label[1]} inconsistent "
-                f"(residual {failure[2]:.6g})")
-        if val is None:
-            return
-        mod = abs(val)
-        gmat[k, j] = val / mod if mod > 1.0 else val
-        defined[k, j] = True
+                f"(residual {failure[2] * ll:.6g})")
+        if not masked:
+            gmat[k, j] = gam
+            defined[k, j] = True
 
     # Band 1.  S12 = S34 = 0, so those parameters are zero whenever defined.
     place(0, 1, 0.0, 1.0)

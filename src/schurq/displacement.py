@@ -1,7 +1,8 @@
 """Parameter extraction through the displacement / lattice recursion.
 
-Alternative to :func:`schurq.params.inverse`: after unit-diagonal scaling,
-the matrix satisfies a displacement identity R(-t) - F R(-t-1) F* = G J G*
+Alternative to :func:`schurq.params.inverse`, on the same unit-diagonal
+matrix (:func:`schurq.params._preamble`, which also applies the zero-diagonal
+rule), which satisfies a displacement identity R(-t) - F R(-t-1) F* = G J G*
 with F the down-shift and J = diag(1, -1), where the two-column generator at
 shifted time t is G = [e_0 + s | s], s = (0, conj(S[t, t+1]), ...,
 conj(S[t, d-1]), 0, ...).  One recursion step eliminates the top row: with
@@ -25,28 +26,28 @@ are decided at once, and the first failing tau raises.  Level m + 1 reads
 ``u[1:, :n-1]`` and ``v[:n-1, 1:]`` of the transformed pair.
 
 Degenerate nodes follow the divisor rule of the direct solve, decided when
-the recursion reaches them: the divisor of node (k, j) is ``L_k L_j`` times
-the defect products of the parameters already decided along row k and column
-j.  A masked node stores 0 (``defined`` False) and takes the identity
-rotation, so no noise ratio enters later levels; its generator must still
-keep the signature ``|u0| >= |v0|`` (within the entry slack of the
-unit-diagonal scaling), as a masked entry of the direct solve must keep its
-residual; that rejection's value is ``|u0|^2 - |v0|^2`` in the recursion's
-own coordinates (unit diagonal, divided by the defect at each earlier
-rotation), not a margin on the input's scale.  A live node's ratio is
-judged by the disc allowance of the direct solve; a ratio on the unit circle
-(clamped onto it, or of defect 0 after rounding) requires the columns to be
-proportional (else the matrix is not PSD) and annihilates the transformed
-generator, which is its exact limit; a live node whose ``u0`` that
-annihilation zeroed takes ratio 0.
+the recursion reaches them: node (k, j)'s divisor is the unit factors of k
+and j (0 on a zero diagonal) times the defect products of the parameters
+already decided along row k and column j.  A masked node stores 0
+(``defined`` False) and takes the identity rotation, so no noise ratio
+enters later levels; its generator must still keep the signature
+``|u0| >= |v0|`` within the entry slack, as a masked entry of the direct
+solve must keep its residual (the rejection's value is ``|u0|^2 - |v0|^2``
+in the recursion's coordinates, not on the input's scale).  A live node's
+ratio is judged by the disc allowance of the direct solve; a ratio on the
+unit circle (clamped onto it, or of defect 0 after rounding) requires the
+columns to be proportional (else the matrix is not PSD) and annihilates the
+transformed generator, its exact limit; a live node whose ``u0`` that
+annihilation zeroed takes ratio 0.  The final check compares the synthesis
+of the parameters, unit factors for ``L``, with the unit-diagonal matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, NotPSDError, maxnorm
-from .params import (SchurParams, _degenerate, _disc_allowance, _lower, _preamble,
+from .linalg import NotPSDError, maxnorm
+from .params import (_ENTRY_EPS, SchurParams, _degenerate, _disc_allowance, _preamble,
                      _skew, defect, forward)
 
 __all__ = ["displacement_inverse"]
@@ -68,35 +69,14 @@ def _raise_first(checks: list, m: int) -> None:
 
 
 def displacement_inverse(s: np.ndarray) -> SchurParams:
-    """Extract Schur parameters via the generator recursion.
-
-    Agrees with :func:`schurq.params.inverse` (tested to 1e-9 entrywise, with
-    equal ``defined`` masks); the result is additionally verified by
-    reconstruction, so inconsistent (non-PSD) input raises
-    :class:`NotPSDError` on this route too: at a masked node whose generator
-    violates the signature, a ratio past the disc allowance, a boundary
-    generator with columns that are not proportional, or the final check.
-    """
-    s, lvec, scale = _preamble(s)
+    """Extract Schur parameters via the generator recursion.  Agrees with
+    :func:`schurq.params.inverse` (tested to 1e-9 entrywise, with equal
+    ``defined`` masks).  Non-PSD input raises :class:`NotPSDError`: at a
+    masked node whose generator violates the signature, a ratio past the
+    disc allowance, a boundary generator with columns that are not
+    proportional, or the final reconstruction check."""
+    s, lvec, s1, unit = _preamble(s)
     d = s.shape[0]
-    entry_tol = DEFAULT_TOL.entry(scale)
-
-    # Unit-diagonal scaling with the 0/0 -> 0 convention; entries over a
-    # (numerically) vanished diagonal must themselves vanish for a PSD matrix.
-    # The first bad one in (band, row) order is reported, as by ``inverse``.
-    ll = np.outer(lvec, lvec)
-    dead = _degenerate(ll, scale)
-    s1 = np.where(dead, 0.0, s / np.where(dead, 1.0, ll))
-    rows, cols = np.nonzero(dead & (np.abs(s) > entry_tol + ll) & ~_lower(d))
-    if rows.size:
-        i = np.lexsort((rows, cols - rows))[0]
-        k, j = int(rows[i]), int(cols[i])
-        raise NotPSDError("inconsistent degenerate entry", entry=(k, j),
-                          band=j - k, value=float(abs(s[k, j])))
-
-    d_tol = DEFAULT_TOL.entry(maxnorm(s1))
-    prop_tol = 1e3 * d_tol
-
     # Level 0: row tau of u is e_0 + conj(S1[tau, tau+1:]) zero-padded, and v
     # is u without e_0; level 1 drops column 0 of v, so the two share an array.
     buf = np.zeros((d, 2 * d), dtype=np.complex128)
@@ -106,19 +86,19 @@ def displacement_inverse(s: np.ndarray) -> SchurParams:
     # Level m writes column m of the skewed views: entries (k, k + m).
     gamma, defined = np.zeros((d, 2 * d), np.complex128), np.zeros((d, 2 * d), bool)
     gamma_m, defined_m = _skew(gamma, 0, 0, d, d), _skew(defined, 0, 0, d, d)
-    # Defect products of the parameters decided along each row (dl), column (dr).
-    dl, dr = np.ones(d), np.ones(d)
+    # Unit factors times the defect products decided along each row (dl), column (dr).
+    dl, dr = unit.copy(), unit.copy()
 
     for m in range(1, d):
         n = d - m
         u, v = u[1:, :n], v[:n, 1:]
-        divisor = ll.diagonal(m) * (dl[:n] * dr[m:])
-        masked = _degenerate(divisor, scale)
+        divisor = dl[:n] * dr[m:]
+        masked = _degenerate(divisor)
         checks = []  # (failing nodes, reason, values), in each node's order
         n_masked = np.count_nonzero(masked)
         if n_masked:  # masked: ratio 0, the identity rotation
             d_top = _modulus(u[:, 0]) ** 2 - _modulus(v[:, 0]) ** 2
-            checks.append((masked & (d_top < -d_tol),
+            checks.append((masked & (d_top < -_ENTRY_EPS),
                            "generator signature violated", d_top))
             if n_masked == n:  # a dead level moves no generator
                 _raise_first(checks, m)
@@ -130,7 +110,7 @@ def displacement_inverse(s: np.ndarray) -> SchurParams:
         mod = _modulus(gh)
         clamp = mod > 1.0
         if np.count_nonzero(clamp):
-            checks.append((clamp & (mod - 1.0 > _disc_allowance(scale, divisor)),
+            checks.append((clamp & (mod - 1.0 > _disc_allowance(divisor)),
                            "parameter outside the unit disc", mod))
             np.divide(gh, mod, out=gh, where=clamp)
         dg = defect(gh)
@@ -138,7 +118,7 @@ def displacement_inverse(s: np.ndarray) -> SchurParams:
         on_circle = np.count_nonzero(circle)
         if on_circle:
             resid = np.max(np.abs(v - gh[:, None] * u), axis=1)
-            checks.append((circle & (resid > prop_tol),
+            checks.append((circle & (resid > 1e3 * _ENTRY_EPS),
                            "inconsistent boundary generator", resid))
         _raise_first(checks, m)
         np.conjugate(gh, out=gamma_m[:n, m], where=ratio)
@@ -150,9 +130,7 @@ def displacement_inverse(s: np.ndarray) -> SchurParams:
             if on_circle:
                 u[circle] = v[circle] = 0.0
 
-    params = SchurParams(d, lvec, gamma[:, :d], defined[:, :d])
-    err = maxnorm(forward(params) - s)
-    if err > 50.0 * d * entry_tol:
-        raise NotPSDError("reconstruction mismatch after extraction",
-                          value=float(err))
-    return params
+    err = maxnorm(forward(SchurParams(d, unit, gamma[:, :d], defined[:, :d])) - s1)
+    if err > 50.0 * d * _ENTRY_EPS:
+        raise NotPSDError("reconstruction mismatch after extraction", value=float(err))
+    return SchurParams(d, lvec, gamma[:, :d], defined[:, :d])

@@ -39,10 +39,10 @@ __all__ = [
 class Tolerance:
     """Absolute/relative tolerance pair; the package reads ``DEFAULT_TOL``.
 
-    Comparisons against a matrix ``m`` generally use
-    ``abs_eps + rel_eps * (1 + maxnorm(m))`` so they are meaningful both for
-    tiny and for badly scaled inputs.  No function takes a tolerance: every
-    threshold is decided here, from the one instance below.
+    Comparisons against a matrix ``m`` use ``abs_eps + rel_eps * (1 +
+    maxnorm(m))``; parameter extraction makes them on the unit-diagonal
+    matrix, at scale 1 (:mod:`schurq.params`).  No function takes a
+    tolerance: every threshold is decided here, from the one instance below.
     """
 
     abs_eps: float = 1e-10

@@ -9,10 +9,9 @@ x_k and x_j given x_{k+1..j-1} (a D-vine); ``S = D_L (G* G) D_L`` with
 One band lattice (Levinson/Schur recursion) treats every window [k, k+b] of a
 band at once.  It carries the residual rows ``f[k]`` of x_k and ``g[k+b]`` of
 x_{k+b} given x_{k+1..k+b-1}, and their standard deviations ``sl[k]``,
-``sr[k+b]``: ``L_k`` and ``L_{k+b}`` times the defects ``sqrt(1 - |gamma|^2)``
-along the window's row and column.  Each conditioning step scales a residual
-variance by ``1 - |gamma|^2``, so the residuals' covariance ``a`` is gamma
-times ``sl[k] sr[j]``, the divisor of the entry expansion.
+``sr[k+b]``: ``L_k`` and ``L_{k+b}`` (1 in extraction, below) times the
+defects ``sqrt(1 - |gamma|^2)`` along the window's row and column, so the
+residuals' covariance ``a`` is gamma times the divisor ``sl[k] sr[j]``.
 ``f -= (a / var_g) g``, ``g -= (conj(a) / var_f) f`` moves every window one
 step out.  Synthesis carries coefficient rows and sets
 ``S_kj = gamma * divisor - f[k] . S[:, j]`` while ``S_kj`` is 0; it knows every
@@ -26,19 +25,22 @@ entry.  Finally ``g[j]`` is x_j's residual given x_0..x_{j-1}, which yields
 immutable and keeps its synthesis, so :func:`forward` and
 :func:`cholesky_factor` on one parameter set synthesize once.
 
-Degenerate entries: when the divisor is numerically zero, ``S_kj`` carries no
-information about ``gamma[k, j]``; the parameter is stored as 0 with
-``defined[k, j] = False``, the entry is only checked for consistency, and
-extraction goes on with its covariance removed, so reconstruction does not
-depend on the convention value (its coefficient is the vanished divisor).
-One step, ``_entry_step``, masks, rejects and clamps every band of the
-extraction (and every entry of the qubit normal form's closed forms).  A
-masked window does not move the lattice (its parameter is 0, its defect 1),
-and a band of zero parameters skips the update.  Past band r of a generic
-rank-r input every window is masked (a dead band), so extraction and synthesis
-update their rows for bands 1..r only.  A dead band moves no standard
-deviation, so from it on every divisor is known: when all are degenerate (a
-dead tail), extraction checks the whole tail in one step.
+Parameters are partial correlations, the same for ``S`` and ``D S D`` (D a
+positive diagonal), so both extraction routes run on the unit-diagonal
+matrix ``S_kj / (L_k L_j)`` (:func:`_preamble`): every threshold is
+dimensionless.  Degenerate entries: when the divisor is numerically zero
+(always through a zero diagonal), ``S_kj`` carries no information about
+``gamma[k, j]``; the parameter is stored as 0 with ``defined[k, j] = False``,
+the entry is only checked for consistency, and extraction goes on with its
+covariance removed, so reconstruction does not depend on the convention value
+(its coefficient is the vanished divisor).  One step, ``_entry_step``, masks,
+rejects and clamps every band of the extraction (and every entry of the qubit
+normal form's closed forms).  A masked window does not move the lattice (its
+parameter is 0, its defect 1), and a band of zero parameters skips the
+update.  Past band r of a generic rank-r input every window is masked (a dead
+band), so extraction and synthesis update their rows for bands 1..r only.  A
+dead band moves no standard deviation, so from it on every divisor is known:
+when all are degenerate (a dead tail), extraction checks the tail in one step.
 
 The removal writes only what a later read needs.  After band b, ``f[i]`` is
 read only at columns >= i+b+1 (later covariances) and ``g[j]`` only at
@@ -147,57 +149,74 @@ class SchurParams:
             raise ValueError("masked parameters must carry the convention value 0")
 
 
-def _degenerate(divisor: float | np.ndarray, scale: float) -> bool | np.ndarray:
-    """The divisor rule, at input max-norm ``scale``: the entry carries no
-    information on its parameter."""
-    return divisor <= DEFAULT_TOL.abs_eps * (1.0 + scale)
+_ENTRY_EPS = DEFAULT_TOL.entry(1.0)  # the entry slack at scale 1
+_INCONSISTENT = "inconsistent degenerate entry"
 
 
-def _preamble(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Hermitian average, diagonal factors ``L`` and max-norm of ``s``.
+def _zero_diagonal(lvec, top):
+    """The zero-diagonal rule: ``L_k^2 <= CIRCLE_SNAP * top^2``, ``top = max L``."""
+    return lvec <= math.sqrt(CIRCLE_SNAP) * top
 
-    Raises ``ValueError`` for empty or non-Hermitian input and
-    :class:`NotPSDError` for a negative diagonal.
-    """
+
+def _degenerate(divisor: float | np.ndarray) -> bool | np.ndarray:
+    """The divisor rule: the entry carries no information on its parameter."""
+    return divisor <= DEFAULT_TOL.abs_eps * 2.0
+
+
+def _preamble(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Hermitian average of ``s``, its factors ``L``, the unit-diagonal matrix
+    ``s_kj / (L_k L_j)`` and its unit factors (0 on a zero diagonal, where the
+    matrix is 0 too).  Raises ``ValueError`` for empty or non-Hermitian input,
+    :class:`NotPSDError` for a negative diagonal or, first in (band, row)
+    order, an entry through a zero diagonal past the entry slack plus ``L_k L_j``."""
     s = hermitize(s)
     if s.shape[0] == 0:
         raise ValueError("empty matrix")
-    scale = maxnorm(s)
     dvec = s.diagonal().real
-    neg = int(np.argmin(dvec))
+    neg = int(dvec.argmin())
+    lvec = np.sqrt(np.maximum(dvec, 0.0))
+    top = lvec.max()
+    ll = lvec[:, None] * lvec
+    if not _zero_diagonal(lvec[neg], top):  # so no diagonal is zero or negative
+        return s, lvec, s / ll, np.ones(len(s))
+    scale = maxnorm(s)
     if dvec[neg] < -DEFAULT_TOL.entry(scale):
-        raise NotPSDError("negative diagonal", entry=(neg, neg),
-                          value=float(dvec[neg]))
-    return s, np.sqrt(np.maximum(dvec, 0.0)), scale
+        raise NotPSDError("negative diagonal", entry=(neg, neg), value=float(dvec[neg]))
+    zero = _zero_diagonal(lvec, top)
+    dead = zero[:, None] | zero
+    k, j = _tail_windows(len(s), 0)
+    bad = np.flatnonzero(dead[k, j] & (np.abs(s[k, j]) > DEFAULT_TOL.entry(scale) + ll[k, j]))
+    if bad.size:
+        k, j = int(k[bad[0]]), int(j[bad[0]])
+        raise NotPSDError(_INCONSISTENT, entry=(k, j), band=j - k, value=float(abs(s[k, j])))
+    s1 = np.divide(s, ll, out=np.zeros_like(s), where=~dead)
+    return s, lvec, s1, np.where(zero, 0.0, 1.0)
 
 
-def _disc_allowance(scale: float, divisor):
-    """How far |gamma| may exceed 1 before the matrix is rejected.
-
-    An excess e at divisor q corresponds to an entry perturbation of e*q, so
-    matching the eigenvalue-oracle threshold rel_eps*(1+scale) means allowing
-    e up to rel_eps*(1+scale)/q (capped: a unit-size excess is never noise).
-    """
+def _disc_allowance(divisor):
+    """How far |gamma| may exceed 1: an excess e at divisor q is an entry
+    perturbation of e*q, so the eigenvalue-oracle threshold ``rel_eps * 2``
+    allows e up to ``rel_eps * 2 / q`` (capped: a unit excess is never noise)."""
     with np.errstate(divide="ignore"):
         return np.maximum(DEFAULT_TOL.rel_eps,
-                          np.minimum(0.1, DEFAULT_TOL.rel_eps * (1.0 + scale) / divisor))
+                          np.minimum(0.1, np.divide(DEFAULT_TOL.rel_eps * 2.0, divisor)))
 
 
-def _entry_step(cov, divisor, scale: float):
-    """Extract gamma from residual covariances ``cov = divisor * gamma``,
-    elementwise: ``(val, gam, dg, masked, failure)``.  ``val`` is the ratio
-    before clamping (0 where ``masked`` flags a degenerate divisor), ``gam``
-    is it clamped onto the circle, ``dg`` the defects of ``gam``, and
-    ``failure`` None or ``(i, reason, value)`` for the first flat index
-    proving a NotPSDError: a masked entry whose residual exceeds the entry
-    slack plus its divisor, or a ratio past the disc allowance."""
-    masked = _degenerate(divisor, scale)
+def _entry_step(cov, divisor):
+    """Extract gamma from covariances ``cov = divisor * gamma``, elementwise:
+    ``(val, gam, dg, masked, failure)``.  ``val`` is the ratio before clamping
+    (0 where ``masked`` flags a degenerate divisor), ``gam`` is it clamped onto
+    the circle, ``dg`` the defects of ``gam``, and ``failure`` None or ``(i,
+    reason, value)`` for the first flat index proving a NotPSDError: a masked
+    residual past the entry slack plus its divisor, or a ratio past the disc
+    allowance."""
+    masked = _degenerate(divisor)
     inconsistent = None
     if np.count_nonzero(masked):
         with np.errstate(divide="ignore", invalid="ignore"):
             val = np.where(masked, 0.0, cov / divisor)
         resid = np.abs(cov)
-        inconsistent = masked & (resid > DEFAULT_TOL.entry(scale) + divisor)
+        inconsistent = masked & (resid > _ENTRY_EPS + divisor)
     else:
         val = cov / divisor
     mod = np.abs(val)
@@ -205,7 +224,7 @@ def _entry_step(cov, divisor, scale: float):
     if not np.count_nonzero(clamp) and (inconsistent is None
                                         or not np.count_nonzero(inconsistent)):
         return val, val, np.sqrt(1.0 - mod * mod), masked, None
-    outside = clamp & (mod - 1.0 > _disc_allowance(scale, divisor))
+    outside = clamp & (mod - 1.0 > _disc_allowance(divisor))
     with np.errstate(divide="ignore", invalid="ignore"):
         gam = np.where(clamp, val / mod, val)
     bad = np.ravel(outside if inconsistent is None else inconsistent | outside)
@@ -213,28 +232,34 @@ def _entry_step(cov, divisor, scale: float):
     if np.count_nonzero(bad):
         i = int(np.argmax(bad))
         if inconsistent is not None and np.ravel(inconsistent)[i]:
-            failure = (i, "inconsistent degenerate entry", float(np.ravel(resid)[i]))
+            failure = (i, _INCONSISTENT, float(np.ravel(resid)[i]))
         else:
             failure = (i, "parameter outside the unit disc", float(np.ravel(mod)[i]))
     return val, gam, defect(gam), masked, failure
 
 
+def _rejection(reason: str, k: int, j: int, value: float, lvec: np.ndarray) -> NotPSDError:
+    """Window [k, j]'s rejection, a masked entry's residual times ``L_k L_j``."""
+    value *= float(lvec[k] * lvec[j]) if reason == _INCONSISTENT else 1.0
+    return NotPSDError(reason, entry=(k, j), band=j - k, value=value)
+
+
 class _Lattice:
     """Before band b, ``f[k]``, ``g[k+b]`` are window [k, k+b]'s residual rows.
 
-    Extraction's lattice.  It takes over ``rows``, ``S``: covariances with
-    every x_l (so ``f[k, k+b]`` is the window's covariance), and the
-    standard deviations ``sl[k]``, ``sr[k+b]`` of those rows' residuals, so
-    ``sl[k] sr[k+b]`` is the window's divisor.  Every update is logged
-    until :meth:`widen` replays the log on the identity and appends its
-    coefficient rows: ``[S | I]``, every x_l followed by coefficients.  One
-    linear update serves both.  ``tail`` is the first band of a dead tail
-    whose removals from ``g`` are pending (:func:`_dead_tail`), or None.
-    """
+    Extraction's lattice.  It takes over ``rows``, ``S`` (unit-diagonal):
+    covariances with every x_l (so ``f[k, k+b]`` is the window's covariance),
+    and the standard deviations ``sl[k]``, ``sr[k+b]`` of those rows'
+    residuals, from ``unit`` on: ``sl[k] sr[k+b]`` is the window's divisor.
+    Every update is logged until :meth:`widen` replays the log on the
+    identity and appends its coefficient rows: ``[S | I]``, every x_l
+    followed by coefficients.  One linear update serves both.  ``tail`` is
+    the first band of a dead tail whose removals from ``g`` are pending
+    (:func:`_dead_tail`), or None."""
 
-    def __init__(self, lvec: np.ndarray, rows: np.ndarray):
-        self.lvec, self.f, self.g = lvec, rows, rows.copy()
-        self.sl, self.sr = lvec.copy(), lvec.copy()
+    def __init__(self, unit: np.ndarray, rows: np.ndarray):
+        self.unit, self.f, self.g = unit, rows, rows.copy()
+        self.sl, self.sr = unit.copy(), unit.copy()
         self.log, self.tail = [], None
 
     def absorb(self, b: int, gam: np.ndarray, dg: np.ndarray, live: np.ndarray) -> None:
@@ -267,7 +292,7 @@ class _Lattice:
         lattice) and gives exactly the rows that lattice would carry."""
         if self.log is None:
             return
-        d = self.lvec.shape[0]
+        d = self.unit.shape[0]
         eye = np.eye(d, dtype=np.complex128)
         self.f, self.g = np.concatenate((self.f, eye), axis=1), \
             np.concatenate((self.g, eye), axis=1)
@@ -371,12 +396,10 @@ def forward(params: SchurParams) -> np.ndarray:
 
 
 def inverse(s: np.ndarray) -> SchurParams:
-    """Extract parameters of a Hermitian PSD matrix, band by band.
-
-    Raises :class:`NotPSDError` (negative diagonal, parameter outside the
-    unit disc, or inconsistent degenerate entry) when ``s`` is not PSD, and
-    ``ValueError`` when it is not Hermitian.
-    """
+    """Extract parameters of a Hermitian PSD matrix, band by band.  Raises
+    :class:`NotPSDError` (negative diagonal, parameter outside the unit disc,
+    or inconsistent degenerate entry) when ``s`` is not PSD, and
+    ``ValueError`` when it is not Hermitian."""
     return _extract(s)[1]
 
 
@@ -386,21 +409,21 @@ def _extract(s: np.ndarray) -> tuple[np.ndarray, SchurParams, _Lattice]:
     (module docstring) is exact: masked covariances are not removed from
     the columns left of it, and a dead tail's removals from ``g`` are
     pending until :func:`_read_factor`."""
-    s, lvec, scale = _preamble(s)
+    s, lvec, s1, unit = _preamble(s)
     d = s.shape[0]
     gamma, defined = np.zeros((d, d), dtype=np.complex128), ~_lower(d)
-    lat = _Lattice(lvec, s.copy())
+    lat = _Lattice(unit, s1)
     gamma_flat = gamma.reshape(-1)
     for b in range(1, d):
         cov = _band_diagonal(lat.f, b)
         divisor = lat.sl[:d - b] * lat.sr[b:]
-        _, gam, dg, masked, failure = _entry_step(cov, divisor, scale)
+        _, gam, dg, masked, failure = _entry_step(cov, divisor)
         if failure is not None:
             k, reason, value = failure
-            raise NotPSDError(reason, entry=(k, k + b), band=b, value=value)
+            raise _rejection(reason, k, k + b, value, lvec)
         gamma_flat[b::d + 1][:d - b] = gam
         nmasked = np.count_nonzero(masked)
-        if nmasked == d - b and _dead_tail(lat, b, scale, defined):
+        if nmasked == d - b and _dead_tail(lat, b, defined, lvec):
             break
         if nmasked:  # go on from S minus the masked covariances
             lat.widen()
@@ -420,37 +443,35 @@ def _tail_windows(d: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     return k, k + m + (b + 1)
 
 
-def _dead_tail(lat: _Lattice, b: int, scale: float, defined: np.ndarray) -> bool:
+def _dead_tail(lat: _Lattice, b: int, defined: np.ndarray, lvec: np.ndarray) -> bool:
     """Band b is dead: if every later band is dead too, extract them at once
     and leave the removals of bands b.. from ``g`` pending.
 
-    A dead band moves no ``sl``, ``sr``, so the divisors of the windows
-    past b stay what they are now, and one test says whether each is
-    masked.  If one is live, return False.  Otherwise every parameter from
-    band b on is a masked 0, and the band loop would only remove each
-    band's covariances from ``f`` (later bands read them) and ``g``.
+    A dead band moves no ``sl``, ``sr``, so one test says whether each
+    window past b is masked; if one is live, return False.  Otherwise every
+    parameter from band b on is a masked 0, and the band loop would only
+    remove each band's covariances from ``f`` (later bands read them) and ``g``.
     Window [k, j]'s covariance reaches ``f[i, j]``, i < k, through x_k's
     coefficient, so removing row k of the tail from the rows above it,
     bottom row first, leaves every covariance as the band loop reads it.
     One step checks them all, and its first failure in band order is the
-    band loop's.  Only :func:`_read_factor` reads ``g``; it makes the
-    removals from ``g``, in the same order."""
-    d = lat.lvec.shape[0]
+    band loop's (``lvec``: :func:`_rejection`).  Only :func:`_read_factor`
+    reads ``g``; it makes the removals from ``g``, in the same order."""
+    d = lat.unit.shape[0]
     if b < d - 1:
         k, j = _tail_windows(d, b)
         divisor = lat.sl[k] * lat.sr[j]
-        if np.count_nonzero(_degenerate(divisor, scale)) < k.shape[0]:
+        if np.count_nonzero(_degenerate(divisor)) < k.shape[0]:
             return False
         lat.widen()
         f = lat.f
         for i in range(d - b - 1, 0, -1):  # f[i:i+1], not f[i]: numpy rounds
             # a (1, 1) by (1,) product apart from the band loop's (n, n) by (n,)
             f[:i, i + b:d] -= f[:i, d + i, None] * f[i:i + 1, i + b:d]
-        failure = _entry_step(f[k, j], divisor, scale)[4]
+        failure = _entry_step(f[k, j], divisor)[4]
         if failure is not None:
             i, reason, value = failure
-            raise NotPSDError(reason, entry=(int(k[i]), int(j[i])),
-                              band=int(j[i] - k[i]), value=value)
+            raise _rejection(reason, int(k[i]), int(j[i]), value, lvec)
         defined[k, j] = False
     _band_diagonal(defined, b)[:] = False
     lat.tail = b
@@ -459,11 +480,10 @@ def _dead_tail(lat: _Lattice, b: int, scale: float, defined: np.ndarray) -> bool
 
 def _read_factor(params: SchurParams, lat: _Lattice) -> np.ndarray:
     """:func:`cholesky_factor` of ``params`` read off the lattice that
-    :func:`_extract` returned with them: makes a dead tail's pending
-    removals from ``g`` in band order and absorbs the last band, then
-    divides ``(B S)`` as :func:`cholesky_factor` divides its synthesized one.
-    Its column defect products are ``sr / L``; where ``L_j`` is 0 every
-    window through column j is masked, so column j's product is 1.0."""
+    :func:`_extract` returned with them: makes a dead tail's pending removals
+    from ``g`` in band order and absorbs the last band, then divides ``(B S)``
+    as :func:`cholesky_factor` does, with unit factors for ``L`` and ``sr`` for
+    the column products (1.0 on a zero diagonal, whose windows are masked)."""
     d, b = params.dim, lat.tail
     if b is not None:  # the tail's covariances are f[i, i+b:] (:func:`_dead_tail`)
         lat.widen()
@@ -474,18 +494,13 @@ def _read_factor(params: SchurParams, lat: _Lattice) -> np.ndarray:
     if d > 1:
         gam = params.gamma[0, d - 1:]
         lat.absorb(d - 1, gam, defect(gam), params.defined[0, d - 1:])
-    lvec = params.diag
-    dr = np.divide(lat.sr, lvec, out=np.ones(d), where=lvec > 0.0)
-    return _factor(lat.g[:, :d], lvec, dr)
+    return _factor(lat.g[:, :d], lat.unit, np.where(lat.unit > 0.0, lat.sr, 1.0))
 
 
 def _logdet(params: SchurParams) -> float:
-    """log det S = sum log L_k^2 + sum log(1 - |gamma|^2) over defined gamma.
-
-    -inf when some ``L_k`` vanishes or some disc factor is at or below
-    ``CIRCLE_SNAP``.  Diagonal factors carry the input's scale and may be
-    genuinely tiny; only the dimensionless disc factors get the snap.
-    """
+    """log det S = sum log L_k^2 + sum log(1 - |gamma|^2) over defined gamma:
+    -inf when some ``L_k`` is 0 or some disc factor is at or below
+    ``CIRCLE_SNAP``.  A tiny ``L_k`` is the input's own scale: no snap."""
     diag_terms = params.diag ** 2
     disc_terms = 1.0 - np.abs(params.gamma[params.defined]) ** 2
     if np.count_nonzero(diag_terms <= 0.0) or np.count_nonzero(disc_terms <= CIRCLE_SNAP):

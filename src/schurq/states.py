@@ -55,7 +55,8 @@ from .linalg import (
     maxnorm,
     reference_eigenvalues,
 )
-from .params import SchurParams, _logdet, forward, inverse, is_psd_via_params
+from .params import (SchurParams, _logdet, _zero_diagonal, forward, inverse,
+                     is_psd_via_params)
 
 __all__ = [
     "DensityState",
@@ -188,17 +189,17 @@ def state_from_coeffs(d: int, beta: np.ndarray, gamma: np.ndarray) -> DensitySta
 
 
 def _support(state: DensityState) -> np.ndarray:
-    return np.flatnonzero(state.rho.diagonal().real > DEFAULT_TOL.abs_eps)
+    return np.flatnonzero(~_zero_diagonal(state.params.diag, state.params.diag.max()))
 
 
 def is_pure(state: DensityState) -> bool:
     """Rank-one test read off the parameters.
 
-    True iff every pair of *consecutive* support indices (nonzero
-    diagonal, possibly separated by zero-diagonal gaps) carries a
-    defined parameter of modulus 1, and every other defined parameter
-    vanishes.  Pairs involving a zero-diagonal index are masked and
-    impose nothing.  Modulus comparisons use sqrt(abs_eps): parameter
+    True iff every pair of *consecutive* support indices (diagonals not
+    zero by the extraction's rule, possibly separated by zero-diagonal gaps)
+    carries a defined parameter of modulus 1, and every other defined
+    parameter vanishes.  Pairs involving a zero-diagonal index are masked
+    and impose nothing.  Modulus comparisons use sqrt(abs_eps): parameter
     moduli move like the square root of entry-level perturbations near
     the boundary.
     """

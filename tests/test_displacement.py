@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from schurq.displacement import displacement_inverse
-from schurq.linalg import DEFAULT_TOL, NotPSDError, maxnorm
-from schurq.params import (SchurParams, _degenerate, _disc_allowance, _preamble, defect,
-                           forward, inverse)
+from schurq.linalg import NotPSDError, maxnorm
+from schurq.params import (_ENTRY_EPS, SchurParams, _degenerate, _disc_allowance, _preamble,
+                           defect, forward, inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -41,30 +41,16 @@ def _theta_transform(g: np.ndarray, gamma_hat: complex, degenerate: bool) -> np.
 
 def _reference_inverse(s: np.ndarray) -> SchurParams:
     """``displacement_inverse`` visiting one node (k, j) at a time."""
-    s, lvec, scale = _preamble(s)
+    s, lvec, s1, unit = _preamble(s)
     d = s.shape[0]
-    entry_tol = DEFAULT_TOL.entry(scale)
-
-    ll = np.outer(lvec, lvec)
-    dead = _degenerate(ll, scale)
-    s1 = np.where(dead, 0.0, s / np.where(dead, 1.0, ll))
-    bad = dead & ~np.eye(d, dtype=bool) & (np.abs(s) > entry_tol + ll)
-    for b in range(1, d):  # first bad entry by (band, row)
-        for k in range(d - b):
-            if bad[k, k + b]:
-                raise NotPSDError("inconsistent degenerate entry", entry=(k, k + b),
-                                  band=b, value=float(abs(s[k, k + b])))
-
-    snorm1 = maxnorm(s1)
-    d_tol = DEFAULT_TOL.entry(snorm1)
-    prop_tol = 1e3 * d_tol
+    prop_tol = 1e3 * _ENTRY_EPS
 
     gens = _initial_generators(s1)
     gammas = [0.0 + 0.0j] * d
     degen = [False] * d
     gamma = np.zeros((d, d), dtype=np.complex128)
     defined = np.triu(np.ones((d, d), dtype=bool), 1)
-    lv, dl, dr = lvec.tolist(), [1.0] * d, [1.0] * d
+    dl, dr = unit.tolist(), unit.tolist()
 
     for m in range(1, d):
         trans = [_theta_transform(g, gammas[tau], degen[tau])
@@ -80,11 +66,11 @@ def _reference_inverse(s: np.ndarray) -> SchurParams:
             g[:, 1] = b[1:, 1]
             k, j = tau, tau + m
             u0, v0 = g[0, 0], g[0, 1]
-            divisor = lv[k] * lv[j] * (dl[k] * dr[j])
+            divisor = dl[k] * dr[j]
             gh, dgn = 0.0 + 0.0j, False
-            if _degenerate(divisor, scale):
+            if _degenerate(divisor):
                 d_top = float(abs(u0) ** 2 - abs(v0) ** 2)
-                if d_top < -d_tol:
+                if d_top < -_ENTRY_EPS:
                     raise NotPSDError("generator signature violated",
                                       entry=(k, j), band=m, value=d_top)
                 defined[k, j] = False
@@ -92,7 +78,7 @@ def _reference_inverse(s: np.ndarray) -> SchurParams:
                 gh = v0 / u0
                 mod = abs(gh)
                 if mod > 1.0:
-                    if mod - 1.0 > _disc_allowance(scale, divisor):
+                    if mod - 1.0 > _disc_allowance(divisor):
                         raise NotPSDError("parameter outside the unit disc",
                                           entry=(k, j), band=m, value=float(mod))
                     gh /= mod
@@ -115,8 +101,8 @@ def _reference_inverse(s: np.ndarray) -> SchurParams:
     params = SchurParams(d, lvec, gamma, defined)
     params.validate()
 
-    err = maxnorm(forward(params) - s)
-    if err > 50.0 * d * entry_tol:
+    err = maxnorm(forward(SchurParams(d, unit, gamma, defined)) - s1)
+    if err > 50.0 * d * _ENTRY_EPS:
         raise NotPSDError("reconstruction mismatch after extraction",
                           value=float(err))
     return params

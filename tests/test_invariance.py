@@ -8,8 +8,9 @@ For a PSD matrix S with parameters (L, Γ):
   the parameters are partial correlations (Joe 2006).
 
 Each holds for both extraction routes on full-rank draws, with every
-parameter defined, to rounding (measured ≤ 4e-15); the congruence only
-once the thresholds are dimensionless (a strict xfail until then).
+parameter defined, to rounding (measured ≤ 4e-15).  Both routes extract
+from the unit-diagonal matrix, so every threshold is dimensionless; a
+congruence only masks the rows that it takes below the zero-diagonal rule.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schurq.displacement import displacement_inverse
-from schurq.linalg import NotPSDError, maxnorm
+from schurq.linalg import CIRCLE_SNAP, NotPSDError, maxnorm
 from schurq.params import inverse
 
 ROUTES = [inverse, displacement_inverse]
@@ -84,28 +85,29 @@ def _graded_example(d=16, seed=12):
     return x.conj().T @ x
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 11: the divisor rule, entry slack "
-                   "and disc allowance are absolute; grading the explicit example "
-                   "by a spread of 1e-12 moves inverse's parameters by 0.88, and "
-                   "displacement_inverse rejects it")
 @PROPERTY
 @given(s=full_rank(max_d=16), spread=st.floats(0.0, 12.0))
 @example(s=_graded_example(), spread=12.0)
 def test_positive_diagonal_congruence(s, spread):
-    """D = diag(10^(-spread·i/(d-1))): on both routes, Γ and ``defined``
-    unchanged and L scaled by D."""
+    """D = diag(10^(-spread·i/(d-1))): on both routes, no rejection, L scaled
+    by D, every window through a row below the zero-diagonal rule masked,
+    and every other parameter unchanged.  D decreases along the rows, so
+    the rows below the rule come last, and a window that conditions on one
+    of them ends in one."""
     d = s.shape[0]
     scale = 10.0 ** (-spread * np.arange(d) / max(d - 1, 1))
     for route in ROUTES:
         p, q = route(s), route(scale[:, None] * s * scale[None, :])
-        assert np.array_equal(q.defined, p.defined)
-        assert maxnorm(q.gamma - p.gamma) <= GAMMA_TOL
         assert maxnorm(q.diag - scale * p.diag) <= DIAG_TOL * maxnorm(scale * p.diag)
+        zero = q.diag * q.diag <= CIRCLE_SNAP * q.diag.max() ** 2  # the zero-diagonal rule
+        through = np.triu(zero[:, None] | zero[None, :], 1)
+        assert np.array_equal(q.defined, p.defined & ~through)
+        assert maxnorm(np.where(through, 0.0, q.gamma - p.gamma)) <= GAMMA_TOL
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the divisor rule is absolute "
-                   "(abs_eps), so scaling by 1e-20 masks every parameter")
 def test_scaling_below_the_absolute_divisor_threshold():
+    """Every threshold is dimensionless, so scaling by 1e-20, far below the
+    absolute entry slack, masks nothing."""
     rng = np.random.default_rng(6)
     x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     s = x.conj().T @ x
@@ -114,10 +116,9 @@ def test_scaling_below_the_absolute_divisor_threshold():
     assert maxnorm(q.gamma - p.gamma) <= GAMMA_TOL
 
 
-@pytest.mark.xfail(strict=True, raises=NotPSDError,
-                   reason="ROADMAP item 1 (near-boundary corpus): a positive-definite "
-                   "matrix within about 1e-11 of rank 1 fails the disc allowance")
 def test_positive_definite_near_rank_one_is_accepted():
+    """A positive-definite matrix within about 1e-11 of rank 1.  While the
+    thresholds were absolute, it failed the disc allowance at (1, 7), band 6."""
     rng = np.random.default_rng(1009)
     x = rng.standard_normal((1, 9)) + 1j * rng.standard_normal((1, 9))
     y = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
@@ -125,15 +126,17 @@ def test_positive_definite_near_rank_one_is_accepted():
     s = 0.5 * (s + s.conj().T)
     assert np.linalg.eigvalsh(s)[0] > 1e-12
     np.linalg.cholesky(s)
-    inverse(s)  # raises 'parameter outside the unit disc' at (1, 7), band 6
+    inverse(s)
 
 
 @pytest.mark.xfail(strict=True, raises=NotPSDError,
-                   reason="ROADMAP item 1: the Hilbert matrices of d 12..14 are PSD "
-                   "but fail the disc allowance")
+                   reason="ROADMAP item 1: the Hilbert matrices of d 13 and 14 are PSD "
+                   "but are rejected")
 def test_hilbert_12_to_14_are_accepted():
-    """Each raises 'parameter outside the unit disc' at (3, 11), band 8,
-    value 6.76742 (6.76751 while the lattice carried defect products)."""
+    """Hilbert 12 is accepted.  13 raises 'parameter outside the unit disc'
+    at (1, 12), band 11, value 1.36005, and 14 'inconsistent degenerate
+    entry' at (4, 13), band 9; 13's verdict flips with how the unit-diagonal
+    scaling rounds."""
     for d in (12, 13, 14):
         i = np.arange(d)
         inverse(1.0 / (i[:, None] + i[None, :] + 1))

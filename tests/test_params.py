@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -326,17 +327,21 @@ def test_rank_deficient_bands_are_dead(d, monkeypatch):
 def test_tail_rejection_keeps_its_place(d, r):
     """Every band past r of a rank-r matrix is dead.  One Hermitian entry
     pair past band r moved by 1e-3 is rejected at that entry and band, as
-    an inconsistent degenerate entry whose residual is the move."""
-    s = _large_psd(np.random.default_rng(1101), d, r)
-    for k, j in ((0, d - 1), (2, r + 5), (d // 2, d - 2)):
+    an inconsistent degenerate entry whose residual is the move, on the
+    input's scale: under a positive diagonal congruence D, D_k D_j 1e-3."""
+    rng = np.random.default_rng(1101)
+    s = _large_psd(rng, d, r)
+    scales = (np.ones(d), 10.0 ** rng.uniform(-2.0, 2.0, d))
+    for (k, j), dvec in itertools.product(((0, d - 1), (2, r + 5), (d // 2, d - 2)), scales):
         t = s.copy()
         t[k, j] += 1e-3
         t[j, k] += 1e-3
         with pytest.raises(NotPSDError) as info:
-            inverse(t)
+            inverse(dvec[:, None] * t * dvec)
         e = info.value
         assert (e.reason, e.entry, e.band) == ("inconsistent degenerate entry", (k, j), j - k)
-        assert abs(e.value - 1e-3) <= 1e-9
+        want = dvec[k] * dvec[j] * 1e-3
+        assert abs(e.value - want) <= 1e-6 * want
 
 
 def test_dead_band_before_live_bands():
