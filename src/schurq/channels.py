@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DEFAULT_TOL, ConsistencyError, NotPSDError, maxnorm
-from .params import (SchurParams, _entry_step, _extract, _logdet, _read_factor,
-                     _zero_diagonal, defect)
+from .params import (_INCONSISTENT, SchurParams, _entry_step, _extract, _logdet,
+                     _read_factor, _rejection, _zero_rows, defect)
 
 __all__ = [
     "LinearMap",
@@ -412,19 +412,25 @@ def qubit_nf_params(nf: QubitChannelNF) -> tuple[SchurParams, QubitNFReport]:
     t1, t2, t3 = t
     l1, l2, l3 = lam
     sdiag = np.array([1 + t3 + l3, 1 + t3 - l3, 1 - t3 - l3, 1 - t3 + l3])
-    s13 = t1 + 1j * t2
-    s24 = t1 + 1j * t2
-    s23 = l1 - l2
-    s14 = l1 + l2
-
-    scale = max(maxnorm(sdiag), abs(s13), abs(s23), abs(s14))
+    s = np.diag(sdiag.astype(np.complex128))  # its upper triangle
+    s[0, 2] = s[1, 3] = t1 + 1j * t2
+    s[1, 2], s[0, 3] = l1 - l2, l1 + l2
+    scale = maxnorm(s)
     notes: list[str] = []  # one per violated inequality or residual
 
     for k in range(4):
         if sdiag[k] < -DEFAULT_TOL.entry(scale):
             notes.append(f"S{k + 1}{k + 1} = {sdiag[k]:.6g} is negative")
     lvec = np.sqrt(np.clip(sdiag, 0.0, None))
-    zero = _zero_diagonal(lvec, lvec.max())
+    zero, bad_k, bad_j = _zero_rows(s, lvec, scale)
+
+    def note(e: NotPSDError):
+        k, j = e.entry[0] + 1, e.entry[1] + 1
+        notes.append(f"degenerate entry S{k}{j} inconsistent (residual {e.value:.6g})"
+                     if e.reason == _INCONSISTENT else f"|Gamma{k}{j}| = {e.value:.6g} exceeds 1")
+
+    for k, j in zip(bad_k, bad_j):
+        note(NotPSDError(_INCONSISTENT, entry=(k, j), value=abs(s[k, j])))
 
     gmat = np.zeros((4, 4), dtype=np.complex128)
     defined = np.zeros((4, 4), dtype=bool)
@@ -433,39 +439,32 @@ def qubit_nf_params(nf: QubitChannelNF) -> tuple[SchurParams, QubitNFReport]:
     def place(k: int, j: int, cov: complex, dprod: float):
         """One recursion step: extract, clamp, or mask gamma_(k+1)(j+1) from the
         residual covariance ``cov`` (the entry minus its known part) over
-        ``L_k L_j``; through a zero diagonal, mask it and judge ``cov`` as is."""
-        label, ll = (k + 1, j + 1), lvec[k] * lvec[j]
+        ``L_k L_j``; through a zero diagonal (checked above), mask it."""
+        label = (k + 1, j + 1)
+        gamma[label] = None
         if zero[k] or zero[j]:
-            gamma[label] = None
-            if abs(cov) > DEFAULT_TOL.entry(scale) + ll:
-                notes.append(f"degenerate entry S{label[0]}{label[1]} inconsistent "
-                             f"(residual {abs(cov):.6g})")
             return
-        val, gam, _, masked, failure = _entry_step(cov / ll, dprod)
-        gamma[label] = None if masked else complex(val)
+        val, gam, _, masked, failure = _entry_step(cov / (lvec[k] * lvec[j]), dprod)
         if failure is not None:
-            notes.append(
-                f"|Gamma{label[0]}{label[1]}| = {failure[2]:.6g} exceeds 1"
-                if not masked else
-                f"degenerate entry S{label[0]}{label[1]} inconsistent "
-                f"(residual {failure[2] * ll:.6g})")
+            note(_rejection(failure[1], k, j, failure[2], lvec))
         if not masked:
+            gamma[label] = complex(val)
             gmat[k, j] = gam
             defined[k, j] = True
 
     # Band 1.  S12 = S34 = 0, so those parameters are zero whenever defined.
     place(0, 1, 0.0, 1.0)
-    place(1, 2, s23, 1.0)
+    place(1, 2, s[1, 2], 1.0)
     place(2, 3, 0.0, 1.0)
     d23 = float(defect(gmat[1, 2]))
     # Band 2.  The known terms vanish because Gamma12 = Gamma34 = 0.
-    place(0, 2, s13, d23)
-    place(1, 3, s24, d23)
+    place(0, 2, s[0, 2], d23)
+    place(1, 3, s[1, 3], d23)
     d13 = float(defect(gmat[0, 2]))
     d24 = float(defect(gmat[1, 3]))
     # Band 3.  Surviving known term: -G13 conj(G23) G24.
     known14 = -gmat[0, 2] * np.conj(gmat[1, 2]) * gmat[1, 3]
-    place(0, 3, s14 - lvec[0] * lvec[3] * known14, d13 * d24)
+    place(0, 3, s[0, 3] - lvec[0] * lvec[3] * known14, d13 * d24)
 
     params = SchurParams(4, lvec, gmat, defined)
 

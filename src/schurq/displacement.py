@@ -69,12 +69,15 @@ def _raise_first(checks: list, m: int) -> None:
 
 
 def displacement_inverse(s: np.ndarray) -> SchurParams:
-    """Extract Schur parameters via the generator recursion.  Agrees with
-    :func:`schurq.params.inverse` (tested to 1e-9 entrywise, with equal
-    ``defined`` masks).  Non-PSD input raises :class:`NotPSDError`: at a
-    masked node whose generator violates the signature, a ratio past the
-    disc allowance, a boundary generator with columns that are not
-    proportional, or the final reconstruction check."""
+    """Extract Schur parameters via the generator recursion.
+
+    Agrees with :func:`schurq.params.inverse` (tested to 1e-9 entrywise, with
+    equal ``defined`` masks); the result is additionally verified by
+    reconstruction, so inconsistent (non-PSD) input raises
+    :class:`NotPSDError` on this route too: at a masked node whose generator
+    violates the signature, a ratio past the disc allowance, a boundary
+    generator with columns that are not proportional, or the final check.
+    """
     s, lvec, s1, unit = _preamble(s)
     d = s.shape[0]
     # Level 0: row tau of u is e_0 + conj(S1[tau, tau+1:]) zero-padded, and v

@@ -153,9 +153,14 @@ _ENTRY_EPS = DEFAULT_TOL.entry(1.0)  # the entry slack at scale 1
 _INCONSISTENT = "inconsistent degenerate entry"
 
 
-def _zero_diagonal(lvec, top):
-    """The zero-diagonal rule: ``L_k^2 <= CIRCLE_SNAP * top^2``, ``top = max L``."""
-    return lvec <= math.sqrt(CIRCLE_SNAP) * top
+def _zero_diagonal(lvec: np.ndarray, carries: np.ndarray | None = None) -> np.ndarray:
+    """The zero-diagonal rule: diagonal k is zero when ``L_k^2 <= CIRCLE_SNAP *
+    max L^2`` and row k carries nothing (``carries[k]`` False): no window
+    carrying information in a matrix (:func:`_zero_rows`), no defined
+    parameter in its extraction.  Without ``carries``, the rows below the
+    threshold."""
+    below = lvec <= math.sqrt(CIRCLE_SNAP) * lvec.max()
+    return below if carries is None else below & ~carries
 
 
 def _degenerate(divisor: float | np.ndarray) -> bool | np.ndarray:
@@ -163,32 +168,47 @@ def _degenerate(divisor: float | np.ndarray) -> bool | np.ndarray:
     return divisor <= DEFAULT_TOL.abs_eps * 2.0
 
 
+def _zero_rows(s: np.ndarray, lvec: np.ndarray, scale: float):
+    """The zero-diagonal rule on ``s`` (upper triangle) of factors ``lvec``,
+    max-norm ``scale``: the zero rows, and the rows and columns (band-major)
+    of the windows through a row below the threshold whose entry is past
+    the entry slack plus ``L_k L_j`` (inconsistent).  A window carries
+    information when its entry and ``L_k L_j`` are both past ``abs_eps (1 +
+    scale)``, the divisor rule's threshold on the input's scale: masking a
+    zero row drops no more of a PSD matrix than that rule would."""
+    eps, tiny = DEFAULT_TOL.entry(scale), DEFAULT_TOL.abs_eps * (1.0 + scale)
+    k, j = _tail_windows(len(s), 0)
+    mod, ll = np.abs(s[k, j]), lvec[k] * lvec[j]
+    below = _zero_diagonal(lvec)
+    bad = (below[k] | below[j]) & (mod > eps + ll)
+    over = (mod > tiny) & (ll > tiny) & ~bad
+    carries = np.zeros(len(s), dtype=bool)
+    carries[k[over]] = carries[j[over]] = True
+    return _zero_diagonal(lvec, carries), k[bad], j[bad]
+
+
 def _preamble(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Hermitian average of ``s``, its factors ``L``, the unit-diagonal matrix
     ``s_kj / (L_k L_j)`` and its unit factors (0 on a zero diagonal, where the
     matrix is 0 too).  Raises ``ValueError`` for empty or non-Hermitian input,
     :class:`NotPSDError` for a negative diagonal or, first in (band, row)
-    order, an entry through a zero diagonal past the entry slack plus ``L_k L_j``."""
+    order, an inconsistent entry of :func:`_zero_rows`."""
     s = hermitize(s)
     if s.shape[0] == 0:
         raise ValueError("empty matrix")
     dvec = s.diagonal().real
-    neg = int(dvec.argmin())
     lvec = np.sqrt(np.maximum(dvec, 0.0))
-    top = lvec.max()
     ll = lvec[:, None] * lvec
-    if not _zero_diagonal(lvec[neg], top):  # so no diagonal is zero or negative
+    if not np.count_nonzero(_zero_diagonal(lvec)):  # so no diagonal is zero or negative
         return s, lvec, s / ll, np.ones(len(s))
-    scale = maxnorm(s)
+    scale, neg = maxnorm(s), int(dvec.argmin())
     if dvec[neg] < -DEFAULT_TOL.entry(scale):
         raise NotPSDError("negative diagonal", entry=(neg, neg), value=float(dvec[neg]))
-    zero = _zero_diagonal(lvec, top)
-    dead = zero[:, None] | zero
-    k, j = _tail_windows(len(s), 0)
-    bad = np.flatnonzero(dead[k, j] & (np.abs(s[k, j]) > DEFAULT_TOL.entry(scale) + ll[k, j]))
-    if bad.size:
-        k, j = int(k[bad[0]]), int(j[bad[0]])
+    zero, k, j = _zero_rows(s, lvec, scale)
+    if k.size:
+        k, j = int(k[0]), int(j[0])
         raise NotPSDError(_INCONSISTENT, entry=(k, j), band=j - k, value=float(abs(s[k, j])))
+    dead = zero[:, None] | zero
     s1 = np.divide(s, ll, out=np.zeros_like(s), where=~dead)
     return s, lvec, s1, np.where(zero, 0.0, 1.0)
 
@@ -396,10 +416,12 @@ def forward(params: SchurParams) -> np.ndarray:
 
 
 def inverse(s: np.ndarray) -> SchurParams:
-    """Extract parameters of a Hermitian PSD matrix, band by band.  Raises
-    :class:`NotPSDError` (negative diagonal, parameter outside the unit disc,
-    or inconsistent degenerate entry) when ``s`` is not PSD, and
-    ``ValueError`` when it is not Hermitian."""
+    """Extract parameters of a Hermitian PSD matrix, band by band.
+
+    Raises :class:`NotPSDError` (negative diagonal, parameter outside the
+    unit disc, or inconsistent degenerate entry) when ``s`` is not PSD, and
+    ``ValueError`` when it is not Hermitian.
+    """
     return _extract(s)[1]
 
 
@@ -498,9 +520,12 @@ def _read_factor(params: SchurParams, lat: _Lattice) -> np.ndarray:
 
 
 def _logdet(params: SchurParams) -> float:
-    """log det S = sum log L_k^2 + sum log(1 - |gamma|^2) over defined gamma:
-    -inf when some ``L_k`` is 0 or some disc factor is at or below
-    ``CIRCLE_SNAP``.  A tiny ``L_k`` is the input's own scale: no snap."""
+    """log det S = sum log L_k^2 + sum log(1 - |gamma|^2) over defined gamma.
+
+    -inf when some ``L_k`` vanishes or some disc factor is at or below
+    ``CIRCLE_SNAP``.  Diagonal factors carry the input's scale and may be
+    genuinely tiny; only the dimensionless disc factors get the snap.
+    """
     diag_terms = params.diag ** 2
     disc_terms = 1.0 - np.abs(params.gamma[params.defined]) ** 2
     if np.count_nonzero(diag_terms <= 0.0) or np.count_nonzero(disc_terms <= CIRCLE_SNAP):

@@ -189,7 +189,8 @@ def state_from_coeffs(d: int, beta: np.ndarray, gamma: np.ndarray) -> DensitySta
 
 
 def _support(state: DensityState) -> np.ndarray:
-    return np.flatnonzero(~_zero_diagonal(state.params.diag, state.params.diag.max()))
+    defined = state.params.defined
+    return np.flatnonzero(~_zero_diagonal(state.params.diag, defined.any(0) | defined.any(1)))
 
 
 def is_pure(state: DensityState) -> bool:

@@ -340,6 +340,20 @@ def test_kraus_drops_zero_generators():
                     assert len(ks.generators) == r, (d_in, d_out, r)
 
 
+@pytest.mark.parametrize("q", [1e-14, 1e-15])
+def test_kraus_of_amplitude_damping_near_full_decay(q):
+    """Amplitude damping with 1 - p = q: diag(1, p, 0, q) and entry sqrt(q)
+    at (0, 3).  Row 3 is below CIRCLE_SNAP times the largest diagonal but
+    carries an entry far past the slack, so it is no zero row: the factor
+    keeps the correlation and reproduces the Choi matrix."""
+    s = np.diag([1.0, 1.0 - q, 0.0, q]).astype(complex)
+    s[0, 3] = s[3, 0] = math.sqrt(q)
+    c = ChoiMatrix(2, 2, s)
+    assert is_completely_positive(c)
+    a = kraus_from_choi(c).row_stack()
+    assert maxnorm(a.conj().T @ a - s) <= 1e-15
+
+
 def test_kraus_set_records_convention():
     ks = kraus_from_choi(choi_from_map(identity_channel(2)))
     assert "sum_n K[n]* @ K[n] = I(d_in)" in ks.convention

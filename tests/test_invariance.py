@@ -10,7 +10,8 @@ For a PSD matrix S with parameters (L, Γ):
 Each holds for both extraction routes on full-rank draws, with every
 parameter defined, to rounding (measured ≤ 4e-15).  Both routes extract
 from the unit-diagonal matrix, so every threshold is dimensionless; a
-congruence only masks the rows that it takes below the zero-diagonal rule.
+congruence only masks the rows that it takes to zero by the zero-diagonal
+rule.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schurq.displacement import displacement_inverse
-from schurq.linalg import CIRCLE_SNAP, NotPSDError, maxnorm
+from schurq.linalg import CIRCLE_SNAP, DEFAULT_TOL, NotPSDError, maxnorm
 from schurq.params import inverse
 
 ROUTES = [inverse, displacement_inverse]
@@ -90,19 +91,25 @@ def _graded_example(d=16, seed=12):
 @example(s=_graded_example(), spread=12.0)
 def test_positive_diagonal_congruence(s, spread):
     """D = diag(10^(-spread·i/(d-1))): on both routes, no rejection, L scaled
-    by D, every window through a row below the zero-diagonal rule masked,
-    and every other parameter unchanged.  D decreases along the rows, so
-    the rows below the rule come last, and a window that conditions on one
-    of them ends in one."""
+    by D, and the parameters those of S with the rows that D·S·D takes to
+    zero set to 0: every window through such a row masked, every other
+    parameter unchanged.  A zero row is below CIRCLE_SNAP times the largest
+    diagonal and has no window [k, j] whose entry and L_k L_j are both past
+    abs_eps (1 + |D·S·D|); a row below that keeps one is not zero, and its
+    parameters do not move."""
     d = s.shape[0]
     scale = 10.0 ** (-spread * np.arange(d) / max(d - 1, 1))
+    t = scale[:, None] * s * scale[None, :]
+    lvec, tiny = np.sqrt(t.diagonal().real), DEFAULT_TOL.abs_eps * (1.0 + maxnorm(t))
+    carry = (np.abs(t) > tiny) & (lvec[:, None] * lvec > tiny) & ~np.eye(d, dtype=bool)
+    keeps = np.any(carry, axis=1)
     for route in ROUTES:
-        p, q = route(s), route(scale[:, None] * s * scale[None, :])
+        p, q = route(s), route(t)
         assert maxnorm(q.diag - scale * p.diag) <= DIAG_TOL * maxnorm(scale * p.diag)
-        zero = q.diag * q.diag <= CIRCLE_SNAP * q.diag.max() ** 2  # the zero-diagonal rule
-        through = np.triu(zero[:, None] | zero[None, :], 1)
-        assert np.array_equal(q.defined, p.defined & ~through)
-        assert maxnorm(np.where(through, 0.0, q.gamma - p.gamma)) <= GAMMA_TOL
+        zero = (q.diag * q.diag <= CIRCLE_SNAP * q.diag.max() ** 2) & ~keeps
+        p = route(np.where(zero[:, None] | zero[None, :], 0.0, s))
+        assert np.array_equal(q.defined, p.defined)
+        assert maxnorm(q.gamma - p.gamma) <= GAMMA_TOL
 
 
 def test_scaling_below_the_absolute_divisor_threshold():

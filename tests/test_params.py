@@ -15,6 +15,7 @@ from schurq.channels import (
     kraus_from_choi,
     qubit_nf_params,
 )
+from schurq.displacement import displacement_inverse
 from schurq.linalg import (
     NotPSDError,
     maxnorm,
@@ -475,6 +476,17 @@ def test_det_from_params():
     mask = np.zeros((3, 3), dtype=bool)
     mask[0, 1] = mask[1, 2] = True
     assert det_from_params(SchurParams(3, np.ones(3), gamma, mask)) == 0.0
+
+
+def test_det_keeps_the_correlation_of_a_row_below_the_zero_threshold():
+    """Row 1's diagonal is below CIRCLE_SNAP times row 0's, but its entry
+    3e-8 is far past the slack: it is no zero row, and the determinant
+    1e-15 - 9e-16 counts the correlation."""
+    s = np.array([[1.0, 3e-8], [3e-8, 1e-15]], dtype=complex)
+    for route in (inverse, displacement_inverse):
+        p = route(s)
+        assert p.defined[0, 1]
+        np.testing.assert_allclose(det_from_params(p), reference_determinant(s), rtol=1e-9)
 
 
 def test_det_matches_reference():

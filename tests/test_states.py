@@ -392,12 +392,14 @@ def test_purity_with_interleaved_zero_diagonal():
         assert v[support[0]].imag == 0 and v[support[0]].real > 0
 
 
-@pytest.mark.parametrize("amplitude", [1e-4, 1e-5])
+@pytest.mark.parametrize("amplitude", [1e-4, 1e-5, 1e-7])
 def test_purity_with_one_small_amplitude(amplitude):
     """A pure state with one amplitude scaled down is pure: the zero rule is
     relative (``CIRCLE_SNAP`` times the largest diagonal), so a diagonal of
     about 1e-10 still counts as support, and its parameters are on the
-    circle in the extraction's unit-diagonal coordinates."""
+    circle in the extraction's unit-diagonal coordinates.  A diagonal of
+    about 1e-14 is below the threshold, but its row carries entries of
+    about 1e-7, so it is support too, and nothing is dropped."""
     rng = np.random.default_rng(3)
     for d in range(2, 10):
         for _ in range(20):
