@@ -151,6 +151,7 @@ class SchurParams:
 
 _ENTRY_EPS = DEFAULT_TOL.entry(1.0)  # the entry slack at scale 1
 _INCONSISTENT = "inconsistent degenerate entry"
+_SQRT_SNAP = math.sqrt(CIRCLE_SNAP)
 
 
 def _zero_diagonal(lvec: np.ndarray, carries: np.ndarray | None = None) -> np.ndarray:
@@ -159,7 +160,7 @@ def _zero_diagonal(lvec: np.ndarray, carries: np.ndarray | None = None) -> np.nd
     carrying information in a matrix (:func:`_zero_rows`), no defined
     parameter in its extraction.  Without ``carries``, the rows below the
     threshold."""
-    below = lvec <= math.sqrt(CIRCLE_SNAP) * lvec.max()
+    below = lvec <= _SQRT_SNAP * lvec.max()
     return below if carries is None else below & ~carries
 
 

@@ -189,8 +189,11 @@ def state_from_coeffs(d: int, beta: np.ndarray, gamma: np.ndarray) -> DensitySta
 
 
 def _support(state: DensityState) -> np.ndarray:
-    defined = state.params.defined
-    return np.flatnonzero(~_zero_diagonal(state.params.diag, defined.any(0) | defined.any(1)))
+    lvec, defined = state.params.diag, state.params.defined
+    zero = _zero_diagonal(lvec)
+    if np.count_nonzero(zero):  # below the threshold, a row with a parameter is support
+        zero = _zero_diagonal(lvec, defined.any(0) | defined.any(1))
+    return np.flatnonzero(~zero)
 
 
 def is_pure(state: DensityState) -> bool:
