@@ -303,12 +303,12 @@ def kraus_from_choi(c: ChoiMatrix) -> KrausSet:
     check_tol = DEFAULT_TOL.abs_eps * max(1.0, scale)
     # Row u_n adds u_n* u_n, of max-norm max|u_n|^2, to A* A, so the rows
     # dropped here add at most check_tol together: the check cannot see them.
-    gens = tuple(row.reshape(c.d_in, c.d_out).conj().T.copy() for row in u
-                 if maxnorm(row) ** 2 * u.shape[0] > check_tol)
-    ks = KrausSet(c.d_in, c.d_out, gens)
+    kept = u[[maxnorm(row) ** 2 * u.shape[0] > check_tol for row in u]]
+    ks = KrausSet(c.d_in, c.d_out, tuple(
+        row.reshape(c.d_in, c.d_out).conj().T.copy() for row in kept))
 
-    a_stack = ks.row_stack()
-    resid = maxnorm(a_stack.conj().T @ a_stack - s)
+    # ``kept`` is the row stack of the generators: row(K_n*) is row n itself.
+    resid = maxnorm(kept.conj().T @ kept - s)
     if resid > check_tol:
         raise ConsistencyError(
             f"Kraus factor does not reproduce the Choi matrix: residual {resid:.3e}")

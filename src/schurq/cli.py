@@ -10,13 +10,15 @@ reproducible instances.
 Exit codes: 0 success, 1 usage or file problem, 2 mathematical rejection
 (not PSD / not a state / not completely positive), with a human-readable
 diagnostic on stderr naming the first failing band and offending value.
-stdout carries machine-readable JSON only.
+stdout carries machine-readable JSON only.  Subcommands only label a
+failure; :func:`main` alone maps it to its exit code and stderr line.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -48,15 +50,28 @@ from .states import (
 __all__ = ["main"]
 
 
-class _UsageError(Exception):
-    """File or flag problem: exit code 1."""
+class _NotAState(Exception):
+    """A ``ValueError`` raised while building the input's DensityState."""
+
+
+@contextmanager
+def _label(path: str | None = None):
+    """Label an ``OSError`` or ``ValueError`` raised in the block for
+    :func:`main`: as a ``ValueError`` with ``path`` in front, or, without a
+    path, as :class:`_NotAState`.  ``NotPSDError`` passes unlabelled."""
+    try:
+        yield
+    except NotPSDError:
+        raise
+    except (OSError, ValueError) as exc:
+        if path is None:
+            raise _NotAState(exc) from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    try:
+    with _label(path):
         return matrix_from_obj(load_json(path))
-    except (OSError, ValueError) as exc:
-        raise _UsageError(f"{path}: {exc}") from exc
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -71,26 +86,20 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def cmd_parametrize(args) -> int:
-    m = _load_matrix(args.infile)
-    try:
+    with _label(args.infile):
+        m = matrix_from_obj(load_json(args.infile))
         if args.method == "displacement":
             params = displacement_inverse(m)
         else:
             params = inverse(m)
-    except ValueError as exc:
-        if isinstance(exc, NotPSDError):
-            raise
-        raise _UsageError(f"{args.infile}: {exc}") from exc
     _emit(dumps_canonical(params_to_obj(params)), args.outfile)
     return 0
 
 
 def cmd_reconstruct(args) -> int:
-    try:
+    with _label(args.infile):
         params = params_from_obj(load_json(args.infile))
         s = forward(params)
-    except (OSError, ValueError) as exc:
-        raise _UsageError(f"{args.infile}: {exc}") from exc
     _emit(dumps_canonical(matrix_to_obj(s)), args.outfile)
     if args.cholesky is not None:
         u = cholesky_factor(params) * params.diag[None, :]
@@ -100,13 +109,8 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_state(args) -> int:
     m = _load_matrix(args.infile)
-    try:
+    with _label():
         state = state_from_matrix(m)
-    except ValueError as exc:
-        if isinstance(exc, NotPSDError):
-            raise
-        print(f"not a state: {exc}", file=sys.stderr)
-        return 2
     pure = is_pure(state)
     report = {
         "dim": state.dim,
@@ -126,20 +130,15 @@ def cmd_state(args) -> int:
 def cmd_channel(args) -> int:
     for flag, value in (("--din", args.din), ("--dout", args.dout)):
         if value < 1:
-            raise _UsageError(f"{flag} must be positive, got {value}")
-    m = _load_matrix(args.choi)
+            raise ValueError(f"{flag} must be positive, got {value}")
     n = args.din * args.dout
-    if m.shape != (n, n):
-        raise _UsageError(
-            f"{args.choi}: shape {m.shape} does not match --din {args.din} "
-            f"--dout {args.dout}")
-    c = ChoiMatrix(args.din, args.dout, m)
-    try:
-        ks = kraus_from_choi(c)  # NotPSDError -> exit 2
-    except ValueError as exc:
-        if isinstance(exc, NotPSDError):
-            raise
-        raise _UsageError(f"{args.choi}: {exc}") from exc
+    with _label(args.choi):
+        m = matrix_from_obj(load_json(args.choi))
+        if m.shape != (n, n):
+            raise ValueError(f"shape {m.shape} does not match --din {args.din} "
+                             f"--dout {args.dout}")
+        c = ChoiMatrix(args.din, args.dout, m)
+        ks = kraus_from_choi(c)
     if args.kraus is not None:
         for idx, gen in enumerate(ks.generators, start=1):
             write_text(f"{args.kraus}_{idx}.json",
@@ -154,23 +153,13 @@ def cmd_separability(args) -> int:
     m = _load_matrix(args.infile)
     dims = tuple(int(x) for x in args.dims.split("x"))
     if args.method == "params" and dims != (2, 2):
-        raise _UsageError("--method params supports --dims 2x2 only")
-    try:
+        raise ValueError("--method params supports --dims 2x2 only")
+    with _label():
         state = state_from_matrix(m)
-    except ValueError as exc:
-        if isinstance(exc, NotPSDError):
-            raise
-        print(f"not a state: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.method == "params":
-            verdict = is_separable_params(state)
-        else:
-            verdict = is_separable_ppt(state, dims=dims)
-    except ValueError as exc:
-        if isinstance(exc, NotPSDError):
-            raise
-        raise _UsageError(str(exc)) from exc
+    if args.method == "params":
+        verdict = is_separable_params(state)
+    else:
+        verdict = is_separable_ppt(state, dims=dims)
     witness = verdict.witness
     if isinstance(witness, float):
         witness = encode_scalar(witness)
@@ -185,9 +174,9 @@ def cmd_separability(args) -> int:
 
 def cmd_random(args) -> int:
     if args.tp and args.kind != "channel":
-        raise _UsageError("--tp applies to --kind channel only")
+        raise ValueError("--tp applies to --kind channel only")
     if args.dim < (2 if args.kind != "channel" else 1):
-        raise _UsageError("--dim too small")
+        raise ValueError("--dim too small")
     if args.kind == "psd":
         m = random_psd(args.seed, args.dim)
     elif args.kind == "state":
@@ -257,18 +246,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; map its failure to an exit code and one stderr
+    line: not PSD or not a state exit 2, any other ``OSError`` or
+    ``ValueError`` (file, flag or usage problem) exits 1."""
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NotPSDError as exc:
-        print(f"not positive semidefinite: {exc}", file=sys.stderr)
-        return 2
+        code, line = 2, f"not positive semidefinite: {exc}"
+    except _NotAState as exc:
+        code, line = 2, f"not a state: {exc}"
+    except (OSError, ValueError) as exc:
+        code, line = 1, f"error: {exc}"
+    print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

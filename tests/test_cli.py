@@ -395,11 +395,15 @@ def test_state_bell(tmp_path, capsys):
 
 
 def test_state_rejections(tmp_path, capsys):
-    """Trace 2 is not a state; a unit-trace indefinite matrix is not PSD.
-    Both exit 2 from ``state`` and ``separability``, with one line on
-    stderr and nothing on stdout."""
-    for command in (["state"], ["separability", "--dims", "2x2"]):
+    """Trace 4, a non-Hermitian and a non-square matrix are not states; a
+    unit-trace indefinite matrix is not PSD.  Each exits 2 from ``state``
+    and ``separability``, with one line on stderr and nothing on stdout."""
+    for command in (["state", "--report"], ["separability", "--dims", "2x2"]):
         for m, reason in ((np.eye(4), "not a state: "),
+                          (np.array([[0.5, 0.2], [0.0, 0.5]]),
+                           "not a state: matrix is not Hermitian within tolerance\n"),
+                          (np.ones((2, 3)) / 3,
+                           "not a state: expected a square matrix, got shape (2, 3)\n"),
                           (np.diag([0.75, 0.5, -0.5, 0.25]), "not positive semidefinite: ")):
             _write_matrix(tmp_path / "m.json", m)
             assert main([*command, "--in", str(tmp_path / "m.json")]) == 2
@@ -494,6 +498,17 @@ def test_channel_transpose_exit2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_channel_non_hermitian_exit1(tmp_path, capsys):
+    """A non-Hermitian Choi file is a file error naming the file: exit 1."""
+    path = tmp_path / "c.json"
+    _write_matrix(path, np.diag([0.5, 0.5, 0.0, 0.0]) + 0.2 * np.eye(4, k=1))
+    assert main(["channel", "--choi", str(path), "--din", "2", "--dout", "2",
+                 "--capacity"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {path}: matrix is not Hermitian within tolerance\n"
+
+
 def test_channel_dim_mismatch_exit1(tmp_path, capsys):
     _write_matrix(tmp_path / "c.json", 0.5 * np.eye(4))
     assert main(["channel", "--choi", str(tmp_path / "c.json"),
@@ -549,15 +564,23 @@ def test_separability_2x3(tmp_path, capsys):
 
 
 def test_separability_usage_errors(tmp_path, capsys):
+    """A state the test cannot take is a usage error: exit 1, one line on
+    stderr, nothing on stdout."""
     _write_matrix(tmp_path / "w.json", _werner(0.5))
-    # params method is qubit-pair only
-    assert main(["separability", "--in", str(tmp_path / "w.json"),
-                 "--dims", "2x3", "--method", "params"]) == 1
-    # dims that do not match the matrix size
     _write_matrix(tmp_path / "m9.json", np.eye(9) / 9)
-    assert main(["separability", "--in", str(tmp_path / "m9.json"),
-                 "--dims", "2x2"]) == 1
-    capsys.readouterr()
+    _write_matrix(tmp_path / "m6.json", np.eye(6) / 6)
+    for name, flags, line in (
+            # params method is qubit-pair only
+            ("w.json", ["--dims", "2x3", "--method", "params"],
+             "--method params supports --dims 2x2 only"),
+            ("m6.json", ["--method", "params"],
+             "parameter separability test requires a 2x2 system"),
+            # dims that do not match the matrix size
+            ("m9.json", ["--dims", "2x2"], "dims (2, 2) incompatible with dimension 9"),
+            ("m6.json", [], "dims (2, 2) incompatible with dimension 6")):
+        assert main(["separability", "--in", str(tmp_path / name), *flags]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {line}\n", (name, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -752,6 +775,17 @@ def test_console_entry_subprocess(tmp_path):
         capture_output=True, text=True, env=SRC_ENV)
     assert r.returncode == 0
     assert (tmp_path / "p.json").exists()
+    # The exit code of a failure reaches the shell: 1 for a file error,
+    # 2 for a mathematical rejection.
+    _write_matrix(tmp_path / "indef.json", np.diag([1.0, -1.0]))
+    for name, code, prefix in (("missing.json", 1, "error: "),
+                               ("indef.json", 2, "not positive semidefinite: ")):
+        r = subprocess.run(
+            [sys.executable, "-m", "schurq.cli", "parametrize",
+             "--in", str(tmp_path / name)],
+            capture_output=True, text=True, env=SRC_ENV)
+        assert r.returncode == code and r.stdout == "", (name, r.stderr)
+        assert r.stderr.startswith(prefix) and r.stderr.count("\n") == 1, r.stderr
 
 
 DEMOS = Path(__file__).parent.parent / "demos"
