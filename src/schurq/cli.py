@@ -54,16 +54,25 @@ class _NotAState(Exception):
     """A ``ValueError`` raised while building the input's DensityState."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors reach :func:`main` as a
+    ``ValueError``, which exits 1 with one stderr line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @contextmanager
 def _label(path: str | None = None):
-    """Label an ``OSError`` or ``ValueError`` raised in the block for
-    :func:`main`: as a ``ValueError`` with ``path`` in front, or, without a
-    path, as :class:`_NotAState`.  ``NotPSDError`` passes unlabelled."""
+    """Label a ``ValueError`` raised in the block for :func:`main`: with
+    ``path`` in front, or, without a path, as :class:`_NotAState`.
+    ``NotPSDError`` and ``OSError``, which names its own file, pass
+    unlabelled."""
     try:
         yield
-    except NotPSDError:
+    except (NotPSDError, OSError):
         raise
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         if path is None:
             raise _NotAState(exc) from exc
         raise ValueError(f"{path}: {exc}") from exc
@@ -192,7 +201,7 @@ def cmd_random(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schurq",
         description="Schur-parameter coordinates for PSD matrices, "
                     "states and channels.")
@@ -249,8 +258,8 @@ def main(argv=None) -> int:
     """Run one subcommand; map its failure to an exit code and one stderr
     line: not PSD or not a state exit 2, any other ``OSError`` or
     ``ValueError`` (file, flag or usage problem) exits 1."""
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except NotPSDError as exc:
         code, line = 2, f"not positive semidefinite: {exc}"

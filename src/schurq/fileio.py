@@ -60,7 +60,7 @@ def load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected a JSON object")
+        raise ValueError("expected a JSON object")
     return obj
 
 

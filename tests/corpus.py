@@ -81,6 +81,20 @@ def slack_shift(s: np.ndarray, factor: float) -> np.ndarray:
     return s - (lam + factor * entry_slack(s)) * np.eye(s.shape[0])
 
 
+def entry_perturbed(rng, d: int) -> np.ndarray:
+    """Rank r in 1..max(1, d//4) plus 10^U(-13, -8) of a full-rank gram,
+    with one entry pair (k, j), k <= j, moved by a complex 10^U(-12, -4) of
+    uniform phase (and its conjugate): near the rank and near the PSD
+    boundary at once, so both extraction routes mask and judge entries."""
+    r = int(rng.integers(1, max(1, d // 4) + 1))
+    s = gram(rng, d, r) + 10 ** rng.uniform(-13, -8) * gram(rng, d, d)
+    k, j = sorted(rng.choice(d, 2))
+    delta = 10 ** rng.uniform(-12, -4) * np.exp(2j * np.pi * rng.uniform())
+    s[k, j] += delta
+    s[j, k] += np.conj(delta)
+    return s
+
+
 def hilbert(d: int) -> np.ndarray:
     i = np.arange(d)
     return 1.0 / (i[:, None] + i[None, :] + 1.0)

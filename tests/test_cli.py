@@ -282,6 +282,38 @@ def test_parametrize_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_usage_errors_exit1_with_one_line(capsys):
+    """A usage error the parser finds is a usage error like any other: exit
+    1 and one stderr line, not argparse's exit 2 and usage text."""
+    for argv, line in (
+            (["random", "--kind", "psd", "--dim", "x", "--seed", "1"],
+             "argument --dim: invalid int value: 'x'"),
+            (["random", "--kind", "psd", "--dim", "2", "--seed", "1", "--bogus"],
+             "unrecognized arguments: --bogus"),
+            ([], "the following arguments are required: command")):
+        assert main(argv) == 1, argv
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {line}\n", argv
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: schurq")
+
+
+@pytest.mark.parametrize("command", [["state"], ["parametrize"], ["separability"]])
+def test_file_errors_name_the_path_once(tmp_path, capsys, command):
+    """A file that is not a JSON object or cannot be read: exit 1 and one
+    stderr line that names the file once."""
+    (tmp_path / "arr.json").write_text("[1]")
+    for name, reason in (("arr.json", "expected a JSON object"),
+                         ("missing.json", "No such file or directory")):
+        path = str(tmp_path / name)
+        assert main([*command, "--in", path]) == 1, name
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ") and reason in out.err, out.err
+        assert out.err.count("\n") == 1 and out.err.count(path) == 1, out.err
+
+
 def test_parametrize_non_numeric_entry_exit1(tmp_path, capsys):
     """A component that is not a JSON number (null, list, string, boolean) or
     a size that is not a JSON integer is a file error: one line on stderr,
@@ -786,6 +818,12 @@ def test_console_entry_subprocess(tmp_path):
             capture_output=True, text=True, env=SRC_ENV)
         assert r.returncode == code and r.stdout == "", (name, r.stderr)
         assert r.stderr.startswith(prefix) and r.stderr.count("\n") == 1, r.stderr
+    # A usage error found by the parser exits 1 too, with one line.
+    r = subprocess.run(
+        [sys.executable, "-m", "schurq.cli", "random", "--kind", "psd", "--dim", "x",
+         "--seed", "1"], capture_output=True, text=True, env=SRC_ENV)
+    assert (r.returncode, r.stdout, r.stderr) == (
+        1, "", "error: argument --dim: invalid int value: 'x'\n")
 
 
 DEMOS = Path(__file__).parent.parent / "demos"

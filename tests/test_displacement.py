@@ -6,8 +6,8 @@ import pytest
 
 from schurq.displacement import displacement_inverse
 from schurq.linalg import NotPSDError, maxnorm
-from schurq.params import (_ENTRY_EPS, SchurParams, _degenerate, _disc_allowance, _preamble,
-                           defect, forward, inverse)
+from schurq.params import (_ENTRY_EPS, SchurParams, _entry_step, _preamble, _rejection, defect,
+                           forward, inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -65,32 +65,20 @@ def _reference_inverse(s: np.ndarray) -> SchurParams:
             g[:, 0] = a[:n - 1, 0]
             g[:, 1] = b[1:, 1]
             k, j = tau, tau + m
-            u0, v0 = g[0, 0], g[0, 1]
-            divisor = dl[k] * dr[j]
-            gh, dgn = 0.0 + 0.0j, False
-            if _degenerate(divisor):
-                d_top = float(abs(u0) ** 2 - abs(v0) ** 2)
-                if d_top < -_ENTRY_EPS:
-                    raise NotPSDError("generator signature violated",
-                                      entry=(k, j), band=m, value=d_top)
+            val, gam, dg, masked, failure = _entry_step(np.conj(g[0, 1]) * dl[k], dl[k] * dr[j])
+            if failure is not None:
+                raise _rejection(failure[1], k, j, failure[2], lvec)
+            gh, dgn = np.conj(gam), False
+            if masked:
                 defined[k, j] = False
-            elif u0 != 0:
-                gh = v0 / u0
-                mod = abs(gh)
-                if mod > 1.0:
-                    if mod - 1.0 > _disc_allowance(divisor):
-                        raise NotPSDError("parameter outside the unit disc",
-                                          entry=(k, j), band=m, value=float(mod))
-                    gh /= mod
-                    mod = 1.0
-                dg = defect(gh)
-                if mod == 1.0 or dg == 0.0:
+            else:
+                if np.abs(val) >= 1.0 or dg == 0.0:
                     resid = maxnorm(g[:, 1] - gh * g[:, 0])
                     if resid > prop_tol:
                         raise NotPSDError("inconsistent boundary generator",
                                           entry=(k, j), band=m, value=float(resid))
                     dgn = True
-                gamma[k, j] = np.conj(gh)
+                gamma[k, j] = gam
                 dl[k] *= dg
                 dr[j] *= dg
             new_gens.append(g)
@@ -171,7 +159,7 @@ def test_masks_agree_on_degenerate_input():
 def test_rank_one_nodes_on_the_circle():
     """Rank-one v v*: a ratio of modulus just below 1 whose defect rounds to 0
     is a degenerate node, not a division by zero (which used to show as
-    RuntimeWarnings and a 'generator signature violated' rejection at -inf)."""
+    RuntimeWarnings and a rejection at -inf)."""
     rng = np.random.default_rng(7)
     accepted = 0
     for d in range(2, 10):
@@ -215,24 +203,44 @@ def test_rejects_indefinite():
     with pytest.raises(NotPSDError):
         displacement_inverse(np.array([[0.0, 0.5], [0.5, 1.0]]))
     # Rank d/2 with 1e-3 added to both corner entries is indefinite at first
-    # order, and it reaches the two generator checks of the recursion.  The
-    # first hit of each reason at d = 3 and d = 9 is pinned by entry and band.
-    rng = np.random.default_rng(8001)
+    # order, and it reaches the boundary check of the recursion and the
+    # masked-entry check of the entry step.  The first hit of each reason at
+    # d = 3 and d = 9 is pinned by entry and band.
     first = {}
-    for d in range(3, 10):
-        for _ in range(60):
-            s = _rank_half_corner(rng, d)
-            assert np.linalg.eigvalsh(s)[0] < -1e-6
-            with pytest.raises(NotPSDError) as info:
-                displacement_inverse(s)
-            err = info.value
-            assert err.reason in ("generator signature violated",
-                                  "inconsistent boundary generator"), err
-            first.setdefault((err.reason, d), (err.entry, err.band))
+    for d, s in _corner_inputs():
+        assert np.linalg.eigvalsh(s)[0] < -1e-6
+        with pytest.raises(NotPSDError) as info:
+            displacement_inverse(s)
+        err = info.value
+        assert err.reason in ("inconsistent degenerate entry",
+                              "inconsistent boundary generator"), err
+        first.setdefault((err.reason, d), (err.entry, err.band))
     assert first[("inconsistent boundary generator", 3)] == ((0, 1), 1)
-    assert first[("generator signature violated", 3)] == ((0, 2), 2)
+    assert first[("inconsistent degenerate entry", 3)] == ((0, 2), 2)
     assert first[("inconsistent boundary generator", 9)] == ((0, 4), 4)
-    assert first[("generator signature violated", 9)] == ((0, 8), 8)
+    assert first[("inconsistent degenerate entry", 9)] == ((0, 8), 8)
+
+
+def test_masked_rejections_match_inverse_on_corner_inputs():
+    """Both routes judge a masked entry by one rule (``_entry_step``): every
+    masked rejection of the recursion on the corner inputs is ``inverse``'s,
+    by reason, entry and band, and its value is the residual on the input's
+    scale, the 1e-3 added to the corner."""
+    masked = 0
+    for _, s in _corner_inputs():
+        err = _outcome(displacement_inverse, s)[1]
+        if err.reason == "inconsistent degenerate entry":
+            masked += 1
+            ref = _outcome(inverse, s)[1]
+            assert (err.reason, err.entry, err.band) == (ref.reason, ref.entry, ref.band)
+            assert abs(err.value - 1e-3) <= 1e-8 * 1e-3
+    assert masked == 175
+
+
+def _corner_inputs():
+    """60 rank-d/2 corner inputs at each d in 3..9 (``default_rng(8001)``)."""
+    rng = np.random.default_rng(8001)
+    return [(d, _rank_half_corner(rng, d)) for d in range(3, 10) for _ in range(60)]
 
 
 def _rank_half_corner(rng, d):
@@ -309,13 +317,14 @@ def test_level_step_matches_node_by_node_reference():
     assert [(e.reason, e.entry, e.band) for e in first] == [
         ("parameter outside the unit disc", (0, 1), 1),
         ("inconsistent boundary generator", (0, 1), 1)]
-    assert set(kinds) >= {"generator signature violated", "parameter outside the unit disc",
+    assert set(kinds) >= {"inconsistent degenerate entry", "parameter outside the unit disc",
                           "inconsistent boundary generator"}
 
 
-def test_signature_rejection_in_a_dead_level():
+def test_masked_rejection_in_a_dead_level():
     """Rank-d/2 corner input at d = 9: every level past band 4 is dead, and
-    the signature check of such a level rejects as the reference does."""
+    the masked-entry check of such a level rejects as the reference does,
+    at the corner (0, 8)."""
     rng = np.random.default_rng(8001)
     hits = 0
     for _ in range(20):
@@ -324,10 +333,10 @@ def test_signature_rejection_in_a_dead_level():
         _, err = _outcome(displacement_inverse, s)
         assert (err.reason, err.entry, err.band) == (ref.reason, ref.entry, ref.band)
         assert abs(err.value - ref.value) <= 1e-14 * abs(ref.value)
-        if ref.reason == "generator signature violated":
-            assert ref.band > 4
+        if ref.reason == "inconsistent degenerate entry":
+            assert (ref.entry, ref.band) == ((0, 8), 8)
             hits += 1
-    assert hits >= 1
+    assert hits == 8
 
 
 def test_zero_diagonal_rejection_names_first_band():

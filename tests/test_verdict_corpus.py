@@ -3,7 +3,7 @@ routes, judged by the eigenvalue oracle at the absolute entry slack."""
 
 import numpy as np
 import pytest
-from corpus import CLASSES, corpus, oracle
+from corpus import CLASSES, corpus, entry_perturbed, oracle
 
 from schurq.displacement import displacement_inverse
 from schurq.linalg import NotPSDError
@@ -34,3 +34,18 @@ def test_no_false_acceptance_on_the_corpus_slice(route):
         elif name in ACCEPTED:
             assert _accepts(route, s), name
     assert indefinite >= 30  # the corner and shift 1.1, 2 and 30 classes
+
+
+def test_routes_agree_on_entry_perturbed_inputs():
+    """Both routes judge every entry by one rule, so near the rank and the
+    PSD boundary they reach the same verdict on 396 of 400 inputs at d 3..8
+    (378 when the recursion judged a masked node by its generator's
+    signature).  The 4 left are PSD inputs that one route rejects: three by
+    ``inverse`` (two past the disc, one masked), whose covariances the two
+    routes round apart, and one by the recursion's boundary check."""
+    rng = np.random.default_rng(777)
+    agree = 0
+    for _ in range(400):
+        s = entry_perturbed(rng, int(rng.integers(3, 9)))
+        agree += _accepts(inverse, s) == _accepts(displacement_inverse, s)
+    assert agree == 396
