@@ -218,9 +218,9 @@ def _disc_allowance(divisor):
     """How far |gamma| may exceed 1: an excess e at divisor q is an entry
     perturbation of e*q, so the eigenvalue-oracle threshold ``rel_eps * 2``
     allows e up to ``rel_eps * 2 / q`` (capped: a unit excess is never noise)."""
-    with np.errstate(divide="ignore"):
-        return np.maximum(DEFAULT_TOL.rel_eps,
-                          np.minimum(0.1, np.divide(DEFAULT_TOL.rel_eps * 2.0, divisor)))
+    ratio = np.divide(DEFAULT_TOL.rel_eps * 2.0, divisor, out=np.full(np.shape(divisor), np.inf),
+                      where=divisor != 0.0)
+    return np.maximum(DEFAULT_TOL.rel_eps, np.minimum(0.1, ratio))
 
 
 def _entry_step(cov, divisor):
@@ -234,8 +234,8 @@ def _entry_step(cov, divisor):
     masked = _degenerate(divisor)
     inconsistent = None
     if np.count_nonzero(masked):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = np.where(masked, 0.0, cov / divisor)
+        val = np.divide(cov, divisor, out=np.zeros_like(cov, dtype=np.complex128),
+                        where=np.logical_not(masked))
         resid = np.abs(cov)
         inconsistent = masked & (resid > _ENTRY_EPS + divisor)
     else:
@@ -246,8 +246,7 @@ def _entry_step(cov, divisor):
                                         or not np.count_nonzero(inconsistent)):
         return val, val, np.sqrt(1.0 - mod * mod), masked, None
     outside = clamp & (mod - 1.0 > _disc_allowance(divisor))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gam = np.where(clamp, val / mod, val)
+    gam = np.divide(val, mod, out=np.array(val), where=clamp)
     bad = np.ravel(outside if inconsistent is None else inconsistent | outside)
     failure = None
     if np.count_nonzero(bad):

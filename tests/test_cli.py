@@ -50,8 +50,12 @@ from schurq.params import SchurParams, forward
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def _matrix_text(m):
+    return dumps_canonical(matrix_to_obj(np.asarray(m, dtype=complex)))
+
+
 def _write_matrix(path, m):
-    write_text(str(path), dumps_canonical(matrix_to_obj(np.asarray(m, dtype=complex))))
+    write_text(str(path), _matrix_text(m))
 
 
 def _read_matrix(path):
@@ -670,6 +674,105 @@ def test_random_channel_without_tp_is_a_cp_choi_matrix(tmp_path):
     choi = ChoiMatrix(2, 2, s)
     assert is_completely_positive(choi)
     assert not is_trace_preserving(map_from_choi(choi))
+
+
+# ---------------------------------------------------------------------------
+# The failure matrix: every form on every bad input, with README's exit codes
+
+
+def _params_text(diag, re=0.0, defined=True):
+    entry = {"k": 1, "j": 2, "re": re, "im": 0.0, "defined": defined}
+    return json.dumps({"dim": 2, "diag": diag, "gamma": [entry]})
+
+
+# File name -> contents: the bad inputs, and a good state and parameter file
+# for the flag cases; "missing.json" is never written.
+_FILES = {
+    "invalid.json": '{"rows": 1, "cols": 1',
+    "array.json": "[1]",
+    "malformed.json": '{"rows": 2, "data": []}',
+    "non_numeric.json": '{"rows": 1, "cols": 1, "data": [["1", 0]]}',
+    "non_hermitian.json": _matrix_text(np.eye(4) / 4 + 0.2 * np.eye(4, k=1)),
+    "non_square.json": _matrix_text(np.ones((2, 3)) / 3),
+    "indefinite.json": _matrix_text(np.eye(4) / 4 + 0.5 * np.eye(4, k=1) + 0.5 * np.eye(4, k=-1)),
+    "params_malformed.json": json.dumps({"dim": 2, "diag": [1.0, 1.0]}),
+    "params_non_numeric.json": json.dumps({"dim": 2, "diag": ["1.0", 1.0], "gamma": []}),
+    "params_outside_disc.json": _params_text([1.0, 1.0], re=1.5),
+    "params_masked_nonzero.json": _params_text([1.0, 1.0], re=0.5, defined=False),
+    "params_negative_diag.json": _params_text([-1.0, 1.0]),
+    "state.json": _matrix_text(_werner(0.5)),
+    "params.json": _params_text([1.0, 1.0]),
+}
+
+_FILE_ERRORS = ("missing.json", "invalid.json", "array.json", "malformed.json",
+                "non_numeric.json")
+_ERROR, _NOT_PSD, _NOT_A_STATE = "error: ", "not positive semidefinite: ", "not a state: "
+_MATRIX_FORMS = {  # form -> (argv before the file, line for a matrix that is no state)
+    "parametrize": (["parametrize", "--in"], _ERROR),
+    "parametrize displacement": (["parametrize", "--method", "displacement", "--in"], _ERROR),
+    "state": (["state", "--report", "--in"], _NOT_A_STATE),
+    "channel": (["channel", "--din", "2", "--dout", "2", "--choi"], _ERROR),
+    "separability": (["separability", "--in"], _NOT_A_STATE),
+    "separability params": (["separability", "--method", "params", "--in"], _NOT_A_STATE),
+}
+# (id, argv, line prefix, whether the line is about the last argument's file)
+_CELLS = [
+    *[(f"{form}: {name}", [*argv, name], _ERROR, True)
+      for form, (argv, _) in _MATRIX_FORMS.items() for name in _FILE_ERRORS],
+    *[(f"{form}: {name}", [*argv, name], line, line == _ERROR)
+      for form, (argv, line) in _MATRIX_FORMS.items()
+      for name in ("non_hermitian.json", "non_square.json")],
+    *[(f"{form}: indefinite.json", [*argv, "indefinite.json"], _NOT_PSD, False)
+      for form, (argv, _) in _MATRIX_FORMS.items()],
+    *[(f"reconstruct: {name}", ["reconstruct", "--in", name], _ERROR, True)
+      for name in (*_FILE_ERRORS[:3], "params_malformed.json", "params_non_numeric.json",
+                   "params_outside_disc.json", "params_masked_nonzero.json",
+                   "params_negative_diag.json")],
+    # flag cases on good input
+    ("parametrize --method bogus",
+     ["parametrize", "--method", "bogus", "--in", "state.json"], _ERROR, False),
+    ("parametrize without --in", ["parametrize"], _ERROR, False),
+    ("parametrize --out in a missing directory",
+     ["parametrize", "--in", "state.json", "--out", "no/p.json"], _ERROR, True),
+    ("reconstruct --cholesky in a missing directory",
+     ["reconstruct", "--in", "params.json", "--out", "r.json", "--cholesky", "no/u.json"],
+     _ERROR, True),
+    ("state --bogus", ["state", "--bogus", "--in", "state.json"], _ERROR, False),
+    ("channel --din 0",
+     ["channel", "--din", "0", "--dout", "2", "--choi", "state.json"], _ERROR, False),
+    ("channel --dout 3",
+     ["channel", "--din", "2", "--dout", "3", "--choi", "state.json"], _ERROR, True),
+    ("separability --dims 2x3",
+     ["separability", "--dims", "2x3", "--in", "state.json"], _ERROR, False),
+    ("separability --method params --dims 2x3",
+     ["separability", "--method", "params", "--dims", "2x3", "--in", "state.json"],
+     _ERROR, False),
+    ("random --dim 1", ["random", "--kind", "psd", "--dim", "1", "--seed", "1"], _ERROR, False),
+    ("random --tp on psd",
+     ["random", "--kind", "psd", "--dim", "2", "--seed", "1", "--tp"], _ERROR, False),
+    ("random --dim x", ["random", "--kind", "psd", "--dim", "x", "--seed", "1"], _ERROR, False),
+    ("no command", [], _ERROR, False),
+]
+
+
+@pytest.mark.parametrize("argv, prefix, names_file",
+                         [pytest.param(*cell[1:], id=cell[0]) for cell in _CELLS])
+def test_failure_matrix(tmp_path, capsys, monkeypatch, argv, prefix, names_file):
+    """Each failing form exits as README "Command line" states (1 with an
+    'error: ' line, 2 with 'not positive semidefinite: ' or 'not a state:
+    '), prints nothing on stdout and one line on stderr, and names a file at
+    most once: the file of its last argument exactly once where the line is
+    about that file."""
+    for name, text in _FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == (1 if prefix == _ERROR else 2)
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(prefix) and out.err.count("\n") == 1, out.err
+    for name in {*_FILES, "missing.json"}:
+        assert out.err.count(name) <= 1, out.err
+    if names_file:
+        assert out.err.count(argv[-1]) == 1, out.err
 
 
 # ---------------------------------------------------------------------------

@@ -88,11 +88,6 @@ def _reference_inverse(s: np.ndarray) -> SchurParams:
 
     params = SchurParams(d, lvec, gamma, defined)
     params.validate()
-
-    err = maxnorm(forward(SchurParams(d, unit, gamma, defined)) - s1)
-    if err > 50.0 * d * _ENTRY_EPS:
-        raise NotPSDError("reconstruction mismatch after extraction",
-                          value=float(err))
     return params
 
 
@@ -293,7 +288,9 @@ def _fuzz_case(rng, d):
 def test_level_step_matches_node_by_node_reference():
     """The per-level step decides what the node-by-node recursion decides:
     the same verdict, mask and rejection (reason, entry, band), with
-    parameters and rejection values equal up to a few ulps."""
+    parameters and rejection values equal up to a few ulps.  What the route
+    accepts, its parameters with unit factors synthesize back to the
+    unit-diagonal matrix within ``50 d`` times the entry slack at scale 1."""
     rng = np.random.default_rng(1212)
     cases = [np.kron(np.eye(2), [[1.0, 2.0], [2.0, 1.0]]),
              np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 2.0], [0.0, 2.0, 1.0]])]
@@ -311,6 +308,9 @@ def test_level_step_matches_node_by_node_reference():
         assert np.array_equal(p1.defined, p2.defined)
         assert np.array_equal(p1.diag, p2.diag)
         assert maxnorm(p1.gamma - p2.gamma) <= 1e-14
+        _, _, s1, unit = _preamble(s)
+        unit_params = SchurParams(p2.dim, unit, p2.gamma, p2.defined)
+        assert maxnorm(forward(unit_params) - s1) <= 50.0 * p2.dim * _ENTRY_EPS
     # Two nodes of level 1 fail in each of the first two cases; the first node
     # wins, whichever check fails there.
     first = [_outcome(displacement_inverse, s)[1] for s in cases[:2]]
