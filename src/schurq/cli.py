@@ -109,10 +109,10 @@ def cmd_reconstruct(args) -> int:
     with _label(args.infile):
         params = params_from_obj(load_json(args.infile))
         s = forward(params)
-    _emit(dumps_canonical(matrix_to_obj(s)), args.outfile)
     if args.cholesky is not None:
         u = cholesky_factor(params) * params.diag[None, :]
         write_text(args.cholesky, dumps_canonical(matrix_to_obj(u)))
+    _emit(dumps_canonical(matrix_to_obj(s)), args.outfile)
     return 0
 
 

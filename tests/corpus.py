@@ -21,11 +21,18 @@ returns a Hermitian matrix.  The classes:
 
 :func:`oracle` is the verdict they are judged against: LAPACK eigenvalues
 at the absolute entry slack.
+
+:func:`tensor_corpus` draws pairs of parameter sets for tensor products.
+Run as a script, this module takes the full tensor corpus of
+``default_rng(2828)`` through ``tensor_params``: how many products
+``inverse`` accepts and rejects, the worst reconstruction residual against
+its bound, and each rejected product's least eigenvalue in entry slacks.
 """
 
 import numpy as np
 
-from schurq.linalg import DEFAULT_TOL, maxnorm
+from schurq.linalg import DEFAULT_TOL, NotPSDError, kron, maxnorm
+from schurq.params import SchurParams, forward, inverse
 
 SHIFTS = (0.1, 0.5, 0.9, 1.1, 2.0, 30.0)
 
@@ -137,3 +144,56 @@ def corpus(rng, dims, per_class: int) -> list[tuple[str, np.ndarray]]:
     for name, make in CLASSES.items():
         cases += [(name, make(rng, d)) for d in dims for _ in range(per_class)]
     return cases
+
+
+def tensor_corpus(rng) -> tuple[list[SchurParams], list[tuple[int, int]]]:
+    """A pool of 150 parameter sets and 3000 distinct index pairs into it
+    (the first entries of a permutation of all 150² pairs).
+
+    The first 120 sets come from ``inverse``: for d in 1..8, three draws
+    each of ``gram`` at rank d, d//2 (at least 1) and 1, ``graded`` of
+    spread 6 and ``noisy_zero_rows`` (``gram`` at rank d for d < 3).  The
+    last 30 are built directly: for d in 2..6, six sets each, with Γ moduli
+    U(0, 1) and uniform phases, Γ[0, 1] put on the circle, and diagonal
+    U(0.1, 2)."""
+    pool = []
+    for d in range(1, 9):
+        makers = (lambda: gram(rng, d, d), lambda: gram(rng, d, max(1, d // 2)),
+                  lambda: gram(rng, d, 1), lambda: graded(rng, d, 6.0),
+                  (lambda: noisy_zero_rows(rng, d)) if d >= 3 else (lambda: gram(rng, d, d)))
+        pool += [inverse(make()) for make in makers for _ in range(3)]
+    for d in range(2, 7):
+        for _ in range(6):
+            moduli = rng.uniform(0.0, 1.0, (d, d))
+            gamma = np.triu(moduli * np.exp(1j * rng.uniform(0.0, 2 * np.pi, (d, d))), 1)
+            gamma[0, 1] /= abs(gamma[0, 1])
+            pool.append(SchurParams(d, rng.uniform(0.1, 2.0, d), gamma))
+    n = len(pool)
+    return pool, [divmod(int(k), n) for k in rng.permutation(n * n)[:3000]]
+
+
+if __name__ == "__main__":
+    from collections import Counter
+
+    from schurq.states import tensor_params
+
+    pool, pairs = tensor_corpus(np.random.default_rng(2828))
+    worst, reasons, built, below = 0.0, Counter(), 0, []
+    for i, j in pairs:
+        s = kron(forward(pool[i]), forward(pool[j]))
+        try:
+            flat = tensor_params(pool[i], pool[j])
+        except NotPSDError as exc:
+            reasons[exc.reason] += 1
+            built += max(i, j) >= 120
+            below.append((s.shape[0], -np.linalg.eigvalsh(s)[0] / entry_slack(s), i, j))
+            continue
+        worst = max(worst, maxnorm(forward(flat) - s) / (100.0 * entry_slack(s)))
+    print(f"{len(pairs) - len(below)} of {len(pairs)} products accepted; "
+          f"worst residual {worst:.4g} of 100 entry slacks")
+    print(f"rejected: {dict(reasons)}; {built} involve a directly built set")
+    if below:
+        print(f"worst least eigenvalue of a rejected product: {max(b[1] for b in below):.3g} "
+              f"entry slacks below 0")
+        d, _, i, j = min(below)
+        print(f"smallest rejected product: D = {d}, pool sets {i} and {j}")

@@ -737,6 +737,11 @@ _CELLS = [
     ("reconstruct --cholesky in a missing directory",
      ["reconstruct", "--in", "params.json", "--out", "r.json", "--cholesky", "no/u.json"],
      _ERROR, True),
+    ("reconstruct --cholesky in a missing directory, no --out",
+     ["reconstruct", "--in", "params.json", "--cholesky", "no/u.json"], _ERROR, True),
+    ("channel --kraus in a missing directory",
+     ["channel", "--din", "2", "--dout", "2", "--choi", "state.json", "--capacity",
+      "--kraus", "no/k"], _ERROR, True),
     ("state --bogus", ["state", "--bogus", "--in", "state.json"], _ERROR, False),
     ("channel --din 0",
      ["channel", "--din", "0", "--dout", "2", "--choi", "state.json"], _ERROR, False),

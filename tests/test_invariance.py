@@ -14,14 +14,15 @@ congruence only masks the rows that it takes to zero by the zero-diagonal
 rule.
 """
 
+import corpus
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schurq.displacement import displacement_inverse
-from schurq.linalg import CIRCLE_SNAP, DEFAULT_TOL, NotPSDError, maxnorm
-from schurq.params import inverse
+from schurq.linalg import CIRCLE_SNAP, DEFAULT_TOL, NotPSDError, kron, maxnorm
+from schurq.params import forward, inverse
 
 ROUTES = [inverse, displacement_inverse]
 GAMMA_TOL = 1e-12  # Γ is dimensionless
@@ -147,3 +148,21 @@ def test_hilbert_12_to_14_are_accepted():
     for d in (12, 13, 14):
         i = np.arange(d)
         inverse(1.0 / (i[:, None] + i[None, :] + 1))
+
+
+@pytest.mark.xfail(strict=True, raises=NotPSDError,
+                   reason="ROADMAP item 1: a PSD tensor product of a near-circle "
+                   "parameter set is rejected")
+def test_near_circle_tensor_product_is_accepted():
+    """The rejected product of least D (6) in the tensor corpus
+    (:func:`corpus.tensor_corpus`, ``default_rng(2828)``): pool set 0, a
+    1 x 1 ``gram`` with L = 1.476, times set 144, built at d 6 with Γ[0, 1]
+    on the circle.  ``inverse`` accepts forward(set 144), but rejects the
+    product, that matrix times 2.18 (least eigenvalue 3.2e-15), as
+    'inconsistent degenerate entry' at (0, 2), band 2, value 7.28e-9.  All
+    83 rejections of the corpus's 3000 products are PSD at the entry slack
+    (least eigenvalue at most 1.3e-6 of it below 0), and 82 involve one of
+    its 30 near-circle sets."""
+    pool, _ = corpus.tensor_corpus(np.random.default_rng(2828))
+    inverse(forward(pool[144]))
+    inverse(kron(forward(pool[0]), forward(pool[144])))
